@@ -1,7 +1,7 @@
 //! First-divergence replay: hash-compared re-execution of a recorded run.
 //!
-//! A recorded trace carries, for every scheduling decision, an FNV-1a digest
-//! of the machine state *before* that decision was applied (see
+//! A recorded trace carries, for every scheduling decision, a digest of the
+//! machine state *before* that decision was applied (see
 //! [`dd_sim::RunConfig::hash_decisions`]), plus a final digest one past the
 //! last decision. Replaying the schedule with hashing enabled yields a second
 //! digest stream; the first index where the streams differ localises the

@@ -349,8 +349,8 @@ pub struct RunConfig {
     /// resident snapshot memory at zero while keeping mid-run decisions
     /// restorable after the process exits.
     pub snapshot_sink: Option<Box<dyn crate::snapshot::SnapshotSink>>,
-    /// When `true`, the kernel records an FNV-1a digest of the machine
-    /// state before every multi-candidate decision (see
+    /// When `true`, the kernel records a digest of the machine state
+    /// before every multi-candidate decision (see
     /// [`RunOutput::decision_hashes`](crate::driver::RunOutput)), plus a
     /// final end-of-run digest. Replay tooling compares these streams to
     /// localise the first diverging decision. Digests never emit events and

@@ -32,6 +32,7 @@
 //! The whole rebuild of one task is a single synchronous poll.
 
 use crate::config::RunConfig;
+use crate::digest::Env;
 use crate::error::{SimError, SimResult, StopReason};
 use crate::event::{DecisionKind, Event, EventMeta, Observer};
 use crate::history::ChunkedLog;
@@ -250,7 +251,7 @@ pub struct RunOutput {
     /// stops the run — it only loses that restore point — so callers that
     /// care about the availability bound must check this.
     pub spill_errors: Vec<String>,
-    /// FNV-1a digests of the machine state before each recorded decision,
+    /// Digests of the machine state before each recorded decision,
     /// aligned index-for-index with `decisions` (empty unless the run was
     /// configured with [`hash_decisions`](crate::config::RunConfig)).
     /// Digest `i` covers the world after decisions `0..i` were applied and
@@ -357,7 +358,7 @@ pub fn run_program(
     kernel.checkpoints = cfg.checkpoints;
     kernel.sink = cfg.snapshot_sink.take();
     kernel.world.record_syslog = cfg.checkpoints.is_some();
-    kernel.world.hash_decisions = cfg.hash_decisions;
+    kernel.world.set_hashing(cfg.hash_decisions);
     kernel.max_tasks = cfg.max_tasks;
 
     // Setup: declare objects and initial tasks, then load the script.
@@ -416,7 +417,7 @@ pub fn resume_program(
     );
     kernel.sink = cfg.snapshot_sink.take();
     kernel.world.record_syslog = cfg.checkpoints.is_some();
-    kernel.world.hash_decisions = cfg.hash_decisions;
+    kernel.world.set_hashing(cfg.hash_decisions);
     kernel.max_tasks = cfg.max_tasks;
 
     // Rebind setup: re-collect the initial task bodies against the restored
@@ -556,6 +557,8 @@ fn respawn_restarted(
     if st.world.restarts_due.is_empty() {
         return;
     }
+    st.world.mark_env(Env::RestartsDue);
+    st.world.mark_env(Env::RestartsFired);
     for group in std::mem::take(&mut st.world.restarts_due) {
         let base = st.world.tasks.len() as u32;
         let mut rb = RecoveryBuilder::new(&group);
@@ -703,12 +706,12 @@ fn drive(st: &mut Kernel, cells: &mut Vec<TaskCell>, cfg: &RunConfig, program: &
 /// slice, or parked spawn), then poll its body until it parks again.
 fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
     let i = chosen.index();
-    st.world.tasks[i].phase = Phase::Granted;
+    st.world.task_mut(i).phase = Phase::Granted;
 
     if !cells[i].started {
         // First grant: invoke the body factory and run the first slice.
         cells[i].started = true;
-        st.world.tasks[i].phase = Phase::Running;
+        st.world.task_mut(i).phase = Phase::Running;
         let body = cells[i]
             .body
             .take()
@@ -742,8 +745,8 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
                 limit: st.max_tasks,
             };
             st.log_syscall(chosen, SysLogEntry::Ret(Err(err.clone())));
-            st.world.tasks[i].pending = None;
-            st.world.tasks[i].phase = Phase::Running;
+            st.world.task_mut(i).pending = None;
+            st.world.task_mut(i).phase = Phase::Running;
             cells[i].slot.borrow_mut().spawn_reply = Some(Err(err));
             poll_task(st, cells, chosen);
             return;
@@ -752,8 +755,8 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
         let spawn_cost = st.costs.spawn;
         st.charge(spawn_cost);
         st.log_syscall(chosen, SysLogEntry::Spawn(child));
-        st.world.tasks[i].pending = None;
-        st.world.tasks[i].phase = Phase::Running;
+        st.world.task_mut(i).pending = None;
+        st.world.task_mut(i).phase = Phase::Running;
         cells.push(TaskCell::new(Some(f)));
         debug_assert_eq!(cells.len(), st.world.tasks.len());
         cells[i].slot.borrow_mut().spawn_reply = Some(Ok(child));
@@ -762,7 +765,9 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
     }
 
     // Granted an announced operation: execute it against the kernel.
-    let mut op = st.world.tasks[i]
+    let mut op = st
+        .world
+        .task_mut(i)
         .pending_op
         .take()
         .expect("granted task has neither a spawn request nor a pending op");
@@ -772,8 +777,8 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
             if st.world.record_syslog {
                 st.log_syscall(chosen, SysLogEntry::Ret(res.clone()));
             }
-            st.world.tasks[i].pending = None;
-            st.world.tasks[i].phase = Phase::Running;
+            st.world.task_mut(i).pending = None;
+            st.world.task_mut(i).phase = Phase::Running;
             cells[i].slot.borrow_mut().reply = Some(res);
             poll_task(st, cells, chosen);
         }
@@ -781,8 +786,8 @@ fn step_granted(st: &mut Kernel, cells: &mut Vec<TaskCell>, chosen: TaskId) {
             // Put the op back — it carries accumulated op-local state (a
             // resolved deadline, a condvar wait past its enter stage) that
             // the retry after wake-up must see.
-            st.world.tasks[i].pending_op = Some(op);
-            st.world.tasks[i].phase = Phase::Blocked(b);
+            st.world.task_mut(i).pending_op = Some(op);
+            st.world.task_mut(i).phase = Phase::Blocked(b);
         }
     }
 }
@@ -818,18 +823,18 @@ fn poll_task(st: &mut Kernel, cells: &mut [TaskCell], tid: TaskId) {
             Some(Request::Op(op)) => {
                 // Announce: park at the sync point. The pending footprint is
                 // what the driver snapshots at decision points.
-                st.world.tasks[i].pending = Some(op.desc());
-                st.world.tasks[i].pending_op = Some(op);
-                st.world.tasks[i].phase = Phase::Ready;
+                st.world.task_mut(i).pending = Some(op.desc());
+                st.world.task_mut(i).pending_op = Some(op);
+                st.world.task_mut(i).phase = Phase::Ready;
                 cells[i].fut = Some(fut);
             }
             Some(req @ Request::Spawn { .. }) => {
                 // Spawning changes the enabled set itself; its footprint is
                 // global. The payload stays in the mailbox until granted.
                 cells[i].slot.borrow_mut().request = Some(req);
-                st.world.tasks[i].pending = Some(crate::conflict::OpDesc::Global);
-                st.world.tasks[i].pending_op = None;
-                st.world.tasks[i].phase = Phase::Ready;
+                st.world.task_mut(i).pending = Some(crate::conflict::OpDesc::Global);
+                st.world.task_mut(i).pending_op = None;
+                st.world.task_mut(i).phase = Phase::Ready;
                 cells[i].fut = Some(fut);
             }
             None => {
@@ -876,11 +881,11 @@ fn finish_task(
             false
         }
     };
-    let joiners = std::mem::take(&mut st.world.tasks[i].joiners);
+    let joiners = std::mem::take(&mut st.world.task_mut(i).joiners);
     for j in joiners {
         st.wake(j);
     }
-    st.world.tasks[i].phase = Phase::Exited { ok };
+    st.world.task_mut(i).phase = Phase::Exited { ok };
     st.emit(Event::TaskExit { task: tid, ok });
 }
 

@@ -55,6 +55,7 @@
 
 use crate::config::{ChanClass, CheckpointPlan, EnvConfig, NondetOverride, OpCosts, TimedInput};
 use crate::conflict::OpDesc;
+use crate::digest::{DigestCache, Env, Kind};
 use crate::error::{SimError, SimResult, StopReason};
 use crate::event::{DecisionKind, Event, EventMeta, Observer};
 use crate::history::ChunkedLog;
@@ -234,9 +235,9 @@ struct ObserverSlot {
 /// A pending scripted input (time-sorted, consumed front to back).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PendingInput {
-    time: u64,
-    port: PortId,
-    value: Value,
+    pub time: u64,
+    pub port: PortId,
+    pub value: Value,
 }
 
 /// One recorded enabled set: every candidate task at a decision point with
@@ -336,13 +337,17 @@ pub(crate) struct WorldState {
     /// Whether completed syscalls are being logged (checkpointing enabled).
     pub record_syslog: bool,
 
-    /// FNV-1a digest of the machine state *before* each recorded decision,
+    /// Digest of the machine state *before* each recorded decision,
     /// aligned index-for-index with `decisions` (digest `i` covers the
     /// world after decisions `0..i` were applied and executed). Only grows
     /// when [`hash_decisions`](Self::hash_decisions) is set.
     pub decision_hashes: ChunkedLog<u64>,
-    /// Whether pre-decision state digests are being recorded.
+    /// Whether pre-decision state digests are being recorded. Change it
+    /// only through [`set_hashing`](Self::set_hashing).
     pub hash_decisions: bool,
+    /// Cached per-object hashes behind the incremental digest (see
+    /// [`crate::digest`]); maintained only while `hash_decisions` is set.
+    pub digest_cache: DigestCache,
 }
 
 // ---- snapshot byte accounting ------------------------------------------
@@ -392,165 +397,6 @@ fn decision_bytes(_: &DecisionRecord) -> u64 {
 
 fn hash_elem_bytes(_: &u64) -> u64 {
     sz::<u64>()
-}
-
-// ---- state digests ------------------------------------------------------
-
-/// Incremental FNV-1a hasher over manually-fed bytes: the workspace-standard
-/// stable hash (the golden-hash suites use the same constants), hand-rolled
-/// rather than `DefaultHasher` so digests are reproducible across Rust
-/// versions and platforms — promoted trace fixtures commit these values.
-#[derive(Debug, Clone, Copy)]
-struct StateHasher(u64);
-
-impl StateHasher {
-    fn new() -> Self {
-        StateHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u64(0),
-            Some(x) => {
-                self.u64(1);
-                self.u64(x);
-            }
-        }
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Unit => self.u64(0),
-            Value::Bool(b) => {
-                self.u64(1);
-                self.u64(*b as u64);
-            }
-            Value::Int(i) => {
-                self.u64(2);
-                self.i64(*i);
-            }
-            Value::Str(s) => {
-                self.u64(3);
-                self.str(s);
-            }
-            Value::Bytes(b) => {
-                self.u64(4);
-                self.u64(b.len() as u64);
-                self.bytes(b);
-            }
-            Value::List(vs) => {
-                self.u64(5);
-                self.u64(vs.len() as u64);
-                for v in vs {
-                    self.value(v);
-                }
-            }
-        }
-    }
-
-    fn op_desc(&mut self, d: &OpDesc) {
-        match d {
-            OpDesc::Var { var, write } => {
-                self.u64(0);
-                self.u64(var.index() as u64);
-                self.u64(*write as u64);
-            }
-            OpDesc::Lock { lock } => {
-                self.u64(1);
-                self.u64(lock.index() as u64);
-            }
-            OpDesc::CvWait { cvar, lock } => {
-                self.u64(2);
-                self.u64(cvar.index() as u64);
-                self.u64(lock.index() as u64);
-            }
-            OpDesc::CvNotify { cvar } => {
-                self.u64(3);
-                self.u64(cvar.index() as u64);
-            }
-            OpDesc::Chan { chan } => {
-                self.u64(4);
-                self.u64(chan.index() as u64);
-            }
-            OpDesc::PortIn { port } => {
-                self.u64(5);
-                self.u64(port.index() as u64);
-            }
-            OpDesc::PortOut { port } => {
-                self.u64(6);
-                self.u64(port.index() as u64);
-            }
-            OpDesc::Rng => self.u64(7),
-            OpDesc::Local => self.u64(8),
-            OpDesc::Global => self.u64(9),
-        }
-    }
-
-    fn phase(&mut self, p: &Phase) {
-        match p {
-            Phase::Ready => self.u64(0),
-            Phase::Granted => self.u64(1),
-            Phase::Running => self.u64(2),
-            Phase::Blocked(b) => {
-                self.u64(3);
-                match b {
-                    BlockOn::Lock(l) => {
-                        self.u64(0);
-                        self.u64(l.index() as u64);
-                    }
-                    BlockOn::Chan { chan, deadline } => {
-                        self.u64(1);
-                        self.u64(chan.index() as u64);
-                        self.opt_u64(*deadline);
-                    }
-                    BlockOn::Cvar(c) => {
-                        self.u64(2);
-                        self.u64(c.index() as u64);
-                    }
-                    BlockOn::Port(p) => {
-                        self.u64(3);
-                        self.u64(p.index() as u64);
-                    }
-                    BlockOn::Join(t) => {
-                        self.u64(4);
-                        self.u64(t.index() as u64);
-                    }
-                    BlockOn::Timer { until } => {
-                        self.u64(5);
-                        self.u64(*until);
-                    }
-                }
-            }
-            Phase::Exited { ok } => {
-                self.u64(4);
-                self.u64(*ok as u64);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The approximate heap footprint of one [`WorldSnapshot`], split into the
@@ -782,187 +628,6 @@ impl WorldState {
         w.decision_hashes = self.decision_hashes.unshared();
         w.sys_log = self.sys_log.iter().map(ChunkedLog::unshared).collect();
         w
-    }
-
-    /// FNV-1a digest of the live machine state (see
-    /// [`decision_hashes`](Self::decision_hashes)).
-    ///
-    /// Covers everything that determines the run's future: clocks, step and
-    /// event counts, the RNG, every task, variable, lock, condition
-    /// variable, channel and port, timers, pending environment events,
-    /// counters and the history *lengths* (hashing full history content
-    /// would make each digest O(run length); any content divergence
-    /// necessarily flows through the live state that produced it).
-    /// Instrumentation cost (`wall_extra`) is deliberately excluded:
-    /// attached observers differ between a recording and its replay, and
-    /// recording overhead must not perturb the digest.
-    pub(crate) fn digest(&self) -> u64 {
-        let mut h = StateHasher::new();
-        h.u64(self.time);
-        h.u64(self.steps);
-        h.u64(self.events);
-        h.u64(self.decision_seq);
-        h.u64(self.net_sends);
-        h.u64(self.cancelling as u64);
-        for w in self.rng.digest_words() {
-            h.u64(w);
-        }
-        h.u64(self.tasks.len() as u64);
-        for t in &self.tasks {
-            h.phase(&t.phase);
-            h.u64(t.killed as u64);
-            h.u64(t.mem_used);
-            h.u64(t.joiners.len() as u64);
-            for j in &t.joiners {
-                h.u64(j.index() as u64);
-            }
-            match &t.pending {
-                None => h.u64(0),
-                Some(d) => {
-                    h.u64(1);
-                    h.op_desc(d);
-                }
-            }
-            // Hash the op-local progress the in-flight op has accumulated
-            // (the historical `InflightPatch` encoding, kept byte-identical
-            // so golden digests survive the coroutine-engine refactor).
-            match &t.pending_op {
-                Some(Op::CvWait {
-                    stage: CvStage::Relock,
-                    ..
-                }) => h.u64(1),
-                Some(Op::Recv {
-                    deadline: Some(d), ..
-                }) => {
-                    h.u64(2);
-                    h.u64(*d);
-                }
-                Some(Op::Sleep { until: Some(u), .. }) => {
-                    h.u64(3);
-                    h.u64(*u);
-                }
-                _ => h.u64(0),
-            }
-        }
-        h.u64(self.vars.len() as u64);
-        for v in &self.vars {
-            h.value(&v.value);
-        }
-        h.u64(self.locks.len() as u64);
-        for l in &self.locks {
-            h.opt_u64(l.holder.map(|t| t.index() as u64));
-        }
-        h.u64(self.cvars.len() as u64);
-        for c in &self.cvars {
-            h.u64(c.waiters.len() as u64);
-            for w in &c.waiters {
-                h.u64(w.index() as u64);
-            }
-        }
-        h.u64(self.chans.len() as u64);
-        for c in &self.chans {
-            h.u64(c.closed as u64);
-            h.u64(c.queue.len() as u64);
-            for v in &c.queue {
-                h.value(v);
-            }
-        }
-        h.u64(self.ports.len() as u64);
-        for p in &self.ports {
-            h.u64(p.remaining_inputs as u64);
-            h.u64(p.queue.len() as u64);
-            for v in &p.queue {
-                h.value(v);
-            }
-        }
-        // BinaryHeap iteration order is unspecified; hash the sorted view.
-        let mut timers: Vec<(u64, u32)> = self.timers.iter().map(|r| r.0).collect();
-        timers.sort_unstable();
-        h.u64(timers.len() as u64);
-        for (when, seq) in timers {
-            h.u64(when);
-            h.u64(seq as u64);
-        }
-        h.u64(self.pending_inputs.len() as u64);
-        for p in &self.pending_inputs {
-            h.u64(p.time);
-            h.u64(p.port.index() as u64);
-            h.value(&p.value);
-        }
-        h.u64(self.pending_crashes.len() as u64);
-        for (time, group) in &self.pending_crashes {
-            h.u64(*time);
-            h.str(group);
-        }
-        // Fault-plane state is hashed only when present, so clean-run
-        // digests (pinned by the golden-hash suites and promoted fixtures)
-        // are byte-identical to the pre-fault-plane encoding.
-        if !self.pending_partitions.is_empty() {
-            h.u64(self.pending_partitions.len() as u64);
-            for (time, a, b) in &self.pending_partitions {
-                h.u64(*time);
-                h.str(a);
-                h.str(b);
-            }
-        }
-        if !self.pending_heals.is_empty() {
-            h.u64(self.pending_heals.len() as u64);
-            for (time, a, b) in &self.pending_heals {
-                h.u64(*time);
-                h.str(a);
-                h.str(b);
-            }
-        }
-        if !self.active_partitions.is_empty() {
-            h.u64(self.active_partitions.len() as u64);
-            for (a, b) in &self.active_partitions {
-                h.str(a);
-                h.str(b);
-            }
-        }
-        if !self.pending_restarts.is_empty() {
-            h.u64(self.pending_restarts.len() as u64);
-            for (time, group) in &self.pending_restarts {
-                h.u64(*time);
-                h.str(group);
-            }
-        }
-        if !self.restarts_due.is_empty() {
-            h.u64(self.restarts_due.len() as u64);
-            for group in &self.restarts_due {
-                h.str(group);
-            }
-        }
-        if !self.restarts_fired.is_empty() {
-            h.u64(self.restarts_fired.len() as u64);
-            for (group, base) in &self.restarts_fired {
-                h.str(group);
-                h.u64(*base as u64);
-            }
-        }
-        if !self.crash_counts.is_empty() {
-            h.u64(self.crash_counts.len() as u64);
-            for (group, n) in &self.crash_counts {
-                h.str(group);
-                h.u64(*n);
-            }
-        }
-        if !self.restart_counts.is_empty() {
-            h.u64(self.restart_counts.len() as u64);
-            for (group, n) in &self.restart_counts {
-                h.str(group);
-                h.u64(*n);
-            }
-        }
-        h.u64(self.counters.len() as u64);
-        for (name, total) in &self.counters {
-            h.str(name);
-            h.i64(*total);
-        }
-        h.u64(self.outputs.len() as u64);
-        h.u64(self.inputs_seen.len() as u64);
-        h.u64(self.crashes.len() as u64);
-        h.finish()
     }
 }
 
@@ -1336,6 +1001,7 @@ impl Kernel {
             record_syslog: false,
             decision_hashes: ChunkedLog::new(),
             hash_decisions: false,
+            digest_cache: DigestCache::default(),
         };
         Kernel {
             world,
@@ -1438,6 +1104,7 @@ impl Kernel {
             pending: None,
             pending_op: None,
         });
+        self.world.mark(Kind::Task, id.index());
         self.world
             .sys_log
             .push(ChunkedLog::with_chunk_len(SYSLOG_CHUNK_LEN));
@@ -1456,6 +1123,7 @@ impl Kernel {
             name: name.to_owned(),
             value: init,
         });
+        self.world.mark(Kind::Var, id.index());
         id
     }
 
@@ -1465,6 +1133,7 @@ impl Kernel {
             name: name.to_owned(),
             holder: None,
         });
+        self.world.mark(Kind::Lock, id.index());
         id
     }
 
@@ -1474,6 +1143,7 @@ impl Kernel {
             name: name.to_owned(),
             waiters: Vec::new(),
         });
+        self.world.mark(Kind::Cvar, id.index());
         id
     }
 
@@ -1485,6 +1155,7 @@ impl Kernel {
             queue: VecDeque::new(),
             closed: false,
         });
+        self.world.mark(Kind::Chan, id.index());
         id
     }
 
@@ -1496,6 +1167,7 @@ impl Kernel {
             queue: VecDeque::new(),
             remaining_inputs: 0,
         });
+        self.world.mark(Kind::Port, id.index());
         id
     }
 
@@ -1514,7 +1186,7 @@ impl Kernel {
                 .position(|p| p.name == port_name && p.dir == PortDir::In)
                 .map(|i| PortId(i as u32))
                 .ok_or_else(|| format!("input script references unknown port {port_name:?}"))?;
-            self.world.ports[port.index()].remaining_inputs += inputs.len();
+            *self.world.remaining_inputs_mut(port.index()) += inputs.len();
             all.extend(inputs.into_iter().map(|t| PendingInput {
                 time: t.time,
                 port,
@@ -1522,7 +1194,7 @@ impl Kernel {
             }));
         }
         all.sort_by_key(|p| p.time);
-        self.world.pending_inputs = all.into();
+        self.world.set_pending_inputs(all.into());
         Ok(())
     }
 
@@ -1621,9 +1293,9 @@ impl Kernel {
     // ---- wake helpers ---------------------------------------------------
 
     pub(crate) fn wake(&mut self, task: TaskId) {
-        let rec = &mut self.world.tasks[task.index()];
+        let rec = &self.world.tasks[task.index()];
         if !rec.killed && matches!(rec.phase, Phase::Blocked(_)) {
-            rec.phase = Phase::Ready;
+            self.world.task_mut(task.index()).phase = Phase::Ready;
         }
     }
 
@@ -1698,15 +1370,10 @@ impl Kernel {
             .front()
             .is_some_and(|p| p.time <= self.world.time)
         {
-            let p = self
-                .world
-                .pending_inputs
-                .pop_front()
-                .expect("checked non-empty");
-            self.world.ports[p.port.index()]
-                .queue
-                .push_back(p.value.clone());
-            self.world.ports[p.port.index()].remaining_inputs -= 1;
+            let p = self.world.pop_input().expect("checked non-empty");
+            let port = p.port.index();
+            self.world.port_push(port, p.value.clone());
+            *self.world.remaining_inputs_mut(port) -= 1;
             self.emit(Event::InputArrival {
                 port: p.port,
                 value: p.value,
@@ -1720,7 +1387,7 @@ impl Kernel {
             .peek()
             .is_some_and(|Reverse((t, _))| *t <= self.world.time)
         {
-            let Reverse((due, tid)) = self.world.timers.pop().expect("checked non-empty");
+            let (_, tid) = self.world.pop_timer().expect("checked non-empty");
             let task = TaskId(tid);
             let rec = &self.world.tasks[task.index()];
             let fire = match rec.phase {
@@ -1730,7 +1397,6 @@ impl Kernel {
                 }) => d <= self.world.time,
                 _ => false,
             };
-            let _ = due;
             if fire {
                 self.wake(task);
                 any = true;
@@ -1747,6 +1413,7 @@ impl Kernel {
                 .pending_crashes
                 .pop_front()
                 .expect("checked non-empty");
+            self.world.mark_env(Env::PendingCrashes);
             self.kill_group(&group);
             any = true;
         }
@@ -1762,6 +1429,8 @@ impl Kernel {
                 .pop_front()
                 .expect("checked non-empty");
             let pair = if a <= b { (a, b) } else { (b, a) };
+            self.world.mark_env(Env::PendingPartitions);
+            self.world.mark_env(Env::ActivePartitions);
             self.world.active_partitions.insert(pair.clone());
             self.emit(Event::PartitionStart {
                 a: pair.0,
@@ -1781,6 +1450,8 @@ impl Kernel {
                 .pop_front()
                 .expect("checked non-empty");
             let pair = if a <= b { (a, b) } else { (b, a) };
+            self.world.mark_env(Env::PendingHeals);
+            self.world.mark_env(Env::ActivePartitions);
             self.world.active_partitions.remove(&pair);
             self.emit(Event::PartitionHeal {
                 a: pair.0,
@@ -1799,6 +1470,9 @@ impl Kernel {
                 .pending_restarts
                 .pop_front()
                 .expect("checked non-empty");
+            self.world.mark_env(Env::PendingRestarts);
+            self.world.mark_env(Env::RestartCounts);
+            self.world.mark_env(Env::RestartsDue);
             *self.world.restart_counts.entry(group.clone()).or_insert(0) += 1;
             self.world.restarts_due.push(group);
             any = true;
@@ -1831,6 +1505,7 @@ impl Kernel {
 
     /// Kills every task in `group` (node crash).
     pub fn kill_group(&mut self, group: &str) {
+        self.world.mark_env(Env::CrashCounts);
         *self.world.crash_counts.entry(group.to_owned()).or_insert(0) += 1;
         let victims: Vec<TaskId> = self
             .world
@@ -1843,17 +1518,19 @@ impl Kernel {
             .map(|(i, _)| TaskId(i as u32))
             .collect();
         for &t in &victims {
-            self.world.tasks[t.index()].killed = true;
+            self.world.task_mut(t.index()).killed = true;
             // Dead tasks cannot be woken by condition variables.
-            for cv in &mut self.world.cvars {
-                cv.waiters.retain(|&w| w != t);
+            for c in 0..self.world.cvars.len() {
+                if self.world.cvars[c].waiters.contains(&t) {
+                    self.world.cvar_waiters_mut(c).retain(|&w| w != t);
+                }
             }
             self.emit(Event::TaskKilled {
                 task: t,
                 reason: format!("group {group:?} crashed"),
             });
             // A killed task will never exit on its own; release joiners now.
-            let joiners = std::mem::take(&mut self.world.tasks[t.index()].joiners);
+            let joiners = std::mem::take(&mut self.world.task_mut(t.index()).joiners);
             for j in joiners {
                 self.wake(j);
             }
@@ -1865,7 +1542,7 @@ impl Kernel {
             let lock = LockId(l as u32);
             match self.world.locks[l].holder {
                 Some(h) if victims.contains(&h) => {
-                    self.world.locks[l].holder = None;
+                    *self.world.lock_holder_mut(l) = None;
                     self.emit(Event::LockRelease {
                         task: h,
                         lock,
@@ -1906,7 +1583,7 @@ impl Kernel {
                 Attempt::Done(Ok(value))
             }
             Op::Write { var, value, site } => {
-                self.world.vars[var.index()].value = value.clone();
+                self.world.set_var(var.index(), value.clone());
                 self.charge(self.costs.write_cost(value.byte_size()));
                 self.emit(Event::Write {
                     task,
@@ -1916,33 +1593,29 @@ impl Kernel {
                 });
                 Attempt::Done(Ok(Value::Unit))
             }
-            Op::Lock { lock, site } => {
-                let rec = &mut self.world.locks[lock.index()];
-                match rec.holder {
-                    Some(h) if h != task => Attempt::Block(BlockOn::Lock(*lock)),
-                    Some(_) => Attempt::Done(Err(SimError::Internal(format!(
-                        "task {task} re-acquired lock {lock} (not reentrant)"
-                    )))),
-                    None => {
-                        rec.holder = Some(task);
-                        self.charge(self.costs.lock);
-                        self.emit(Event::LockAcquire {
-                            task,
-                            lock: *lock,
-                            site: (*site).into(),
-                        });
-                        Attempt::Done(Ok(Value::Unit))
-                    }
+            Op::Lock { lock, site } => match self.world.locks[lock.index()].holder {
+                Some(h) if h != task => Attempt::Block(BlockOn::Lock(*lock)),
+                Some(_) => Attempt::Done(Err(SimError::Internal(format!(
+                    "task {task} re-acquired lock {lock} (not reentrant)"
+                )))),
+                None => {
+                    *self.world.lock_holder_mut(lock.index()) = Some(task);
+                    self.charge(self.costs.lock);
+                    self.emit(Event::LockAcquire {
+                        task,
+                        lock: *lock,
+                        site: (*site).into(),
+                    });
+                    Attempt::Done(Ok(Value::Unit))
                 }
-            }
+            },
             Op::Unlock { lock, site } => {
-                let rec = &mut self.world.locks[lock.index()];
-                if rec.holder != Some(task) {
+                if self.world.locks[lock.index()].holder != Some(task) {
                     return Attempt::Done(Err(SimError::Internal(format!(
                         "task {task} released lock {lock} it does not hold"
                     ))));
                 }
-                rec.holder = None;
+                *self.world.lock_holder_mut(lock.index()) = None;
                 self.charge(self.costs.lock);
                 self.emit(Event::LockRelease {
                     task,
@@ -1959,14 +1632,13 @@ impl Kernel {
                 site,
             } => match *stage {
                 CvStage::Enter => {
-                    let lrec = &mut self.world.locks[lock.index()];
-                    if lrec.holder != Some(task) {
+                    if self.world.locks[lock.index()].holder != Some(task) {
                         return Attempt::Done(Err(SimError::Internal(format!(
                             "cv wait on {cvar} without holding {lock}"
                         ))));
                     }
-                    lrec.holder = None;
-                    self.world.cvars[cvar.index()].waiters.push(task);
+                    *self.world.lock_holder_mut(lock.index()) = None;
+                    self.world.cvar_waiters_mut(cvar.index()).push(task);
                     self.charge(self.costs.lock);
                     self.emit(Event::CondWait {
                         task,
@@ -1980,14 +1652,13 @@ impl Kernel {
                 }
                 CvStage::Relock => {
                     // We were notified; reacquire the lock (may block again).
-                    let rec = &mut self.world.locks[lock.index()];
-                    match rec.holder {
+                    match self.world.locks[lock.index()].holder {
                         Some(h) if h != task => Attempt::Block(BlockOn::Lock(*lock)),
                         Some(_) => Attempt::Done(Err(SimError::Internal(
                             "cv relock while already holding".into(),
                         ))),
                         None => {
-                            rec.holder = Some(task);
+                            *self.world.lock_holder_mut(lock.index()) = Some(task);
                             self.charge(self.costs.lock);
                             self.emit(Event::LockAcquire {
                                 task,
@@ -2000,24 +1671,23 @@ impl Kernel {
                 }
             },
             Op::CvNotify { cvar, all, site } => {
-                let queue = &mut self.world.cvars[cvar.index()].waiters;
-                let woken: Vec<TaskId> = if queue.is_empty() {
+                let woken: Vec<TaskId> = if self.world.cvars[cvar.index()].waiters.is_empty() {
                     Vec::new()
                 } else if *all {
                     // Broadcast drains the queue in place — no copy of a
                     // possibly-long waiter list.
-                    std::mem::take(queue)
+                    std::mem::take(self.world.cvar_waiters_mut(cvar.index()))
                 } else {
                     // Single wake: the policy wants candidates sorted by
                     // id while the queue keeps FIFO order, and `decide`
                     // needs the kernel mutably — so only this path pays
                     // for a sorted copy.
-                    let mut waiters = queue.clone();
+                    let mut waiters = self.world.cvars[cvar.index()].waiters.clone();
                     waiters.sort_unstable();
                     match self.decide(DecisionKind::WakeOne(*cvar), &waiters) {
                         Some(chosen) => {
-                            self.world.cvars[cvar.index()]
-                                .waiters
+                            self.world
+                                .cvar_waiters_mut(cvar.index())
                                 .retain(|&w| w != chosen);
                             vec![chosen]
                         }
@@ -2075,9 +1745,7 @@ impl Kernel {
                         return Attempt::Done(Ok(Value::Unit));
                     }
                 }
-                self.world.chans[chan.index()]
-                    .queue
-                    .push_back(value.clone());
+                self.world.chan_push(chan.index(), value.clone());
                 self.charge(self.costs.msg_cost(bytes));
                 self.emit(Event::Send {
                     task,
@@ -2106,8 +1774,7 @@ impl Kernel {
                         return Attempt::Done(Ok(v));
                     }
                 }
-                let rec = &mut self.world.chans[chan.index()];
-                if let Some(v) = rec.queue.pop_front() {
+                if let Some(v) = self.world.chan_pop(chan.index()) {
                     self.charge(self.costs.msg_cost(v.byte_size()));
                     self.emit(Event::Recv {
                         task,
@@ -2117,7 +1784,7 @@ impl Kernel {
                     });
                     return Attempt::Done(Ok(v));
                 }
-                if rec.closed {
+                if self.world.chans[chan.index()].closed {
                     return Attempt::Done(Err(SimError::ChannelClosed(*chan)));
                 }
                 // Resolve the relative timeout to an absolute deadline once.
@@ -2125,7 +1792,7 @@ impl Kernel {
                     if let Some(t) = timeout {
                         let d = self.world.time.saturating_add(*t);
                         *deadline = Some(d);
-                        self.world.timers.push(Reverse((d, task.0)));
+                        self.world.push_timer(d, task.0);
                     }
                 }
                 if let Some(d) = *deadline {
@@ -2139,7 +1806,7 @@ impl Kernel {
                 })
             }
             Op::CloseChan { chan, site } => {
-                self.world.chans[chan.index()].closed = true;
+                self.world.close_chan(chan.index());
                 self.charge(self.costs.msg_base);
                 let _ = site;
                 self.wake_chan_waiters(*chan);
@@ -2161,8 +1828,7 @@ impl Kernel {
                         return Attempt::Done(Ok(v));
                     }
                 }
-                let rec = &mut self.world.ports[port.index()];
-                if let Some(v) = rec.queue.pop_front() {
+                if let Some(v) = self.world.port_pop(port.index()) {
                     self.charge(self.costs.io);
                     self.world
                         .inputs_seen
@@ -2175,7 +1841,7 @@ impl Kernel {
                     });
                     return Attempt::Done(Ok(v));
                 }
-                if rec.remaining_inputs == 0 {
+                if self.world.ports[port.index()].remaining_inputs == 0 {
                     return Attempt::Done(Err(SimError::InputExhausted(*port)));
                 }
                 Attempt::Block(BlockOn::Port(*port))
@@ -2209,6 +1875,7 @@ impl Kernel {
                 Attempt::Done(Ok(Value::Unit))
             }
             Op::Count { name, delta, site } => {
+                self.world.mark_env(Env::Counters);
                 let total = self.world.counters.entry((*name).to_owned()).or_insert(0);
                 *total += *delta;
                 let total = *total;
@@ -2241,7 +1908,7 @@ impl Kernel {
                 None => {
                     let u = self.world.time.saturating_add(*ticks);
                     *until = Some(u);
-                    self.world.timers.push(Reverse((u, task.0)));
+                    self.world.push_timer(u, task.0);
                     self.emit(Event::Sleep {
                         task,
                         until: u,
@@ -2278,7 +1945,7 @@ impl Kernel {
                         }));
                     }
                 }
-                self.world.tasks[task.index()].mem_used = new_used;
+                self.world.task_mut(task.index()).mem_used = new_used;
                 self.charge(self.costs.alloc);
                 self.emit(Event::Alloc {
                     task,
@@ -2288,7 +1955,7 @@ impl Kernel {
                 Attempt::Done(Ok(Value::Unit))
             }
             Op::Free { bytes, site } => {
-                let rec = &mut self.world.tasks[task.index()];
+                let rec = self.world.task_mut(task.index());
                 rec.mem_used = rec.mem_used.saturating_sub(*bytes);
                 self.charge(self.costs.alloc);
                 let _ = site;
@@ -2308,7 +1975,7 @@ impl Kernel {
                     });
                     return Attempt::Done(Ok(Value::Unit));
                 }
-                self.world.tasks[target.index()].joiners.push(task);
+                self.world.task_mut(target.index()).joiners.push(task);
                 Attempt::Block(BlockOn::Join(*target))
             }
             Op::Crash { reason, site } => {

@@ -62,6 +62,7 @@
 
 pub mod config;
 pub mod conflict;
+mod digest;
 pub mod driver;
 pub mod error;
 pub mod event;

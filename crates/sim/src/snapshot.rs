@@ -25,11 +25,11 @@
 //! enforces the replay-starting-point availability bound) lives in
 //! `dd-trace`, which has the file-format dependencies.
 //!
-//! Integrity: the manifest embeds the world's FNV-1a
-//! `WorldState::digest` at encode time, and
-//! [`decode_snapshot`] recomputes it after reassembly — a truncated or
-//! garbled artifact fails decode with an error naming the mismatch instead
-//! of resuming from a corrupt world.
+//! Integrity: the manifest embeds the world's state digest, computed from
+//! scratch at encode time, and [`decode_snapshot`] recomputes it from
+//! scratch after reassembly (rebuilding the world's incremental digest
+//! cache on the way) — a truncated or garbled artifact fails decode with an
+//! error naming the mismatch instead of resuming from a corrupt world.
 
 use crate::error::StopReason;
 use crate::history::ChunkedLog;
@@ -44,10 +44,15 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// Version tag of the snapshot manifest format.
 ///
-/// Version 2 added the fault-plane runtime state (partition schedule
-/// status, restart queue, per-group crash/restart counters) to the live
-/// state; version-1 manifests predate scheduled faults and are rejected.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// - v2 added the fault-plane runtime state (partition schedule status,
+///   restart queue, per-group crash/restart counters) to the live state.
+/// - v3 changed the manifest's integrity digest to the word-hashed
+///   per-object construction of the incremental state digest (the live
+///   state layout is unchanged).
+///
+/// Only the current version decodes: an older manifest's digest cannot be
+/// checked against this build's digest, so its store must be re-recorded.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// One history log's entry in a [`SnapshotManifest`]: the chunking
 /// geometry, how many sealed chunks the snapshot references (their payloads
@@ -78,8 +83,8 @@ pub struct SnapshotManifest {
     pub step: u64,
     /// Execution-clock value at the snapshot point.
     pub time: u64,
-    /// FNV-1a digest of the world at encode time; decode recomputes and
-    /// compares it to reject corrupt or truncated artifacts.
+    /// State digest of the world at encode time; decode recomputes it from
+    /// scratch and compares to reject corrupt or truncated artifacts.
     pub digest: u64,
     /// The live (non-log) machine state, encoded.
     pub live: Content,
@@ -226,7 +231,7 @@ pub fn encode_manifest(snap: &WorldSnapshot) -> SnapshotManifest {
         decision: w.decision_seq,
         step: w.steps,
         time: w.time,
-        digest: w.digest(),
+        digest: w.full_digest(),
         live: LiveState::of(w).to_content(),
         logs,
     }
@@ -319,7 +324,7 @@ pub fn decode_snapshot(
             fetch,
         )?);
     }
-    let world = WorldState {
+    let mut world = WorldState {
         tasks: live.tasks,
         vars: live.vars,
         locks: live.locks,
@@ -357,8 +362,9 @@ pub fn decode_snapshot(
         record_syslog: live.record_syslog,
         decision_hashes,
         hash_decisions: live.hash_decisions,
+        digest_cache: Default::default(),
     };
-    let digest = world.digest();
+    let digest = world.rebuild_digest();
     if digest != manifest.digest {
         return Err(format!(
             "snapshot digest mismatch: manifest says {:016x}, reassembled world is {digest:016x} \
@@ -436,7 +442,7 @@ mod tests {
         )
         .expect("roundtrip decodes");
         assert_eq!(decoded.at_decision(), snap.at_decision());
-        assert_eq!(decoded.world.digest(), snap.world.digest());
+        assert_eq!(decoded.world.full_digest(), snap.world.full_digest());
 
         // The restored world resumes to the same behaviour as the original.
         let a = resume_program(&Racer, checkpointed_cfg(), snap, None, vec![]);
@@ -509,7 +515,7 @@ mod tests {
         .expect("fault-state roundtrip decodes");
         assert_eq!(decoded.world.active_partitions, w.active_partitions);
         assert_eq!(decoded.world.restarts_fired, w.restarts_fired);
-        assert_eq!(decoded.world.digest(), w.digest());
+        assert_eq!(decoded.world.full_digest(), w.full_digest());
 
         let a = resume_program(&Racer, faulted_cfg(), snap, None, vec![]);
         let b = resume_program(&Racer, faulted_cfg(), &decoded, None, vec![]);

@@ -6,8 +6,8 @@
 //!    re-create the recorded run: workload name, seeds, step bound, input
 //!    script and environment model);
 //! 2. one **decision** line per recorded scheduling decision, carrying the
-//!    [`ScheduleLog`]-equivalent choice *and* the FNV-1a digest of the
-//!    machine state immediately before the decision (see
+//!    [`ScheduleLog`]-equivalent choice *and* the digest of the machine
+//!    state immediately before the decision (see
 //!    `RunOutput::decision_hashes` in `dd-sim`);
 //! 3. a **footer** with the stop reason, the final state digest, the run's
 //!    observable [`IoSummary`] and the checkpoint [`EpochMark`]s.
@@ -16,9 +16,15 @@
 //! recorder can stream decision lines as the run evolves and seal the file
 //! with the footer at the end. Parsing reports errors with 1-based line
 //! numbers, validates decision-index contiguity, and rejects unknown
-//! fields anywhere on a line (a v1 reader must refuse forward-version
+//! fields anywhere on a line (a reader must refuse forward-version
 //! documents rather than silently drop fields), so a truncated or
 //! hand-mutated file fails loudly at the exact offending line.
+//!
+//! The digests are only comparable with digests computed by the same
+//! construction, so a reader accepts exactly [`JSONL_VERSION`]. A trace
+//! from an older version parses to a named error asking for it to be
+//! re-recorded: replaying it would report a spurious divergence at
+//! decision 0.
 //!
 //! The header is fully deterministic (no timestamps, no host identity):
 //! recording the same scenario twice produces byte-identical files, which
@@ -37,8 +43,13 @@ pub const JSONL_FORMAT: &str = "dd-trace-jsonl";
 
 /// Current JSONL envelope schema version.
 ///
-/// - v1 — header + per-decision state hashes + footer.
-pub const JSONL_VERSION: u32 = 1;
+/// - v1 — header + per-decision state hashes + footer, with FNV-1a digests
+///   over the byte encoding of the whole live world.
+/// - v2 — the same lines; the digests are the incremental construction
+///   (per-object word hashes combined by a wrapping sum and a 64-bit
+///   finaliser, see `dd-sim`'s `digest` module), so v1 digests cannot be
+///   compared with a v2 replay.
+pub const JSONL_VERSION: u32 = 2;
 
 /// A parse or validation error, located by 1-based line number (`0` for
 /// file-level errors: I/O, empty file).
@@ -93,7 +104,7 @@ pub struct TraceHeader {
 }
 
 impl TraceHeader {
-    /// A v1 header for the given scenario parameters.
+    /// A current-version header for the given scenario parameters.
     pub fn new(
         workload: impl Into<String>,
         seed: u64,
@@ -130,7 +141,7 @@ pub struct TraceDecision {
     pub n: u32,
     /// Index of the chosen candidate in the sorted enabled set.
     pub chosen_index: u32,
-    /// FNV-1a digest of the machine state *before* this decision (covers
+    /// Digest of the machine state *before* this decision (covers
     /// decisions `0..i` applied and executed).
     pub hash: u64,
 }
@@ -144,7 +155,7 @@ pub struct TraceFooter {
     pub decisions: u64,
     /// Why the recorded run stopped.
     pub stop: StopReason,
-    /// FNV-1a digest of the final machine state (the digest "one past" the
+    /// Digest of the final machine state (the digest "one past" the
     /// last decision).
     pub final_hash: u64,
     /// The recorded run's observable behaviour.
@@ -252,11 +263,21 @@ impl JsonlTrace {
                 ),
             ));
         }
+        if header.version < JSONL_VERSION {
+            return Err(JsonlError::at(
+                hline,
+                format!(
+                    "stale digest version {}: its state digests predate format \
+                     v{JSONL_VERSION} and cannot be replayed; re-record the trace",
+                    header.version
+                ),
+            ));
+        }
         if header.version > JSONL_VERSION {
             return Err(JsonlError::at(
                 hline,
                 format!(
-                    "unsupported version {} (this build reads <= {JSONL_VERSION})",
+                    "unsupported version {} (this build reads {JSONL_VERSION})",
                     header.version
                 ),
             ));
@@ -475,6 +496,20 @@ mod tests {
             .unwrap_err()
             .msg
             .contains("unsupported version"));
+    }
+
+    #[test]
+    fn old_digest_version_is_rejected_by_name() {
+        let mut t = sample();
+        t.header.version = 1;
+        let err = JsonlTrace::parse(&t.render()).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.msg.contains("stale digest version 1")
+                && err.msg.contains("predate format v2")
+                && err.msg.contains("re-record"),
+            "{err}"
+        );
     }
 
     #[test]

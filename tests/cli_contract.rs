@@ -172,7 +172,7 @@ fn unknown_trailing_field_exits_four_with_the_line_number() {
     let trace = scratch("unknown-field.jsonl");
     let out = dd(&["record", "sum", "--out", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "record failed: {}", stderr(&out));
-    // Append an unknown field to the header line: v1 readers must reject
+    // Append an unknown field to the header line: readers must reject
     // rather than silently drop it.
     let text = std::fs::read_to_string(&trace).unwrap();
     let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
@@ -186,6 +186,31 @@ fn unknown_trailing_field_exits_four_with_the_line_number() {
         stderr(&out).contains("line 1"),
         "rejection names the offending line; stderr: {}",
         stderr(&out)
+    );
+}
+
+#[test]
+fn old_digest_version_trace_exits_four_asking_for_a_re_record() {
+    let trace = scratch("v1-digests.jsonl");
+    let out = dd(&["record", "sum", "--out", trace.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "record failed: {}", stderr(&out));
+    // A trace whose header claims the v1 digest construction: its digests
+    // cannot be compared with this build's, so replay must refuse it by
+    // name instead of reporting a divergence at decision 0.
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let current = format!("\"version\":{}", debug_determinism::trace::JSONL_VERSION);
+    assert!(
+        text.contains(&current),
+        "header carries the current version"
+    );
+    std::fs::write(&trace, text.replacen(&current, "\"version\":1", 1)).unwrap();
+
+    let out = dd(&["replay", trace.to_str().unwrap()]);
+    assert_eq!(code(&out), 4, "stdout: {}", stdout(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("line 1") && err.contains("predate format v2") && err.contains("re-record"),
+        "stderr: {err}"
     );
 }
 

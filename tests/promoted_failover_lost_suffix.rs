@@ -3,7 +3,7 @@
 //!
 //! The fixture seals 1087 scheduling decisions with per-decision
 //! state digests. Replaying it must reproduce every digest and the final
-//! state digest (0x0dad3511bae3217e); any divergence names the first
+//! state digest (0xfc2ffc2600a1a8b9); any divergence names the first
 //! differing decision.
 
 use dd_cli::workload_by_name;

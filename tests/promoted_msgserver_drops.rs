@@ -3,7 +3,7 @@
 //!
 //! The fixture seals 454 scheduling decisions with per-decision
 //! state digests. Replaying it must reproduce every digest and the final
-//! state digest (0xc35e699db0172d3b); any divergence names the first
+//! state digest (0x3d85d3c6b20b176e); any divergence names the first
 //! differing decision.
 
 use dd_cli::workload_by_name;
