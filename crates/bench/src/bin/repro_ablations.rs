@@ -369,9 +369,10 @@ fn main() {
         }
         emit_bench("snapshot_store", &points);
         println!();
-        println!("reading ABL-12: disk-B is the store's on-disk footprint with content-addressed");
-        println!("chunk sharing; full-B prices every stored snapshot standalone — the delta");
-        println!("column is what delta encoding saves. meas-D is the worst replay distance");
+        println!("reading ABL-12: disk-B is the store's on-disk footprint, history shared in");
+        println!("one append-only file per log; full-B prices every stored snapshot standalone");
+        println!("(manifest + its log prefixes) — the delta column is what sharing the logs");
+        println!("saves. meas-D is the worst replay distance");
         println!("anywhere in the run recomputed from the cold index and must stay <= bound");
         println!("(property-tested in dd-trace). warm-ns restores the mid-run snapshot and");
         println!("fast-forwards the rest (`dd replay --from`, digest-identical to scratch);");

@@ -3,14 +3,16 @@
 //!
 //! A `dd record --spill` run offers every checkpoint its plan fires to an
 //! on-disk [`SnapshotStore`] instead of RAM. The store delta-encodes
-//! snapshots over sealed history chunks (content-addressed, written once)
-//! and evicts under a retention policy that maintains a configurable bound
+//! snapshots over their shared history (one append-only file per history
+//! log; a save appends only what was logged since the previous one) and
+//! evicts under a retention policy that maintains a configurable bound
 //! `D` on the distance from any decision to its nearest restorable
 //! snapshot. Three claims, one per column group:
 //!
-//! - **Delta encoding wins**: `disk-bytes` (chunks counted once) stays far
-//!   below `full-bytes` (every snapshot priced as a standalone artifact) as
-//!   soon as snapshots share history — the `delta` ratio.
+//! - **Delta encoding wins**: `disk-bytes` (each log element stored once)
+//!   stays far below `full-bytes` (every snapshot priced as a standalone
+//!   artifact: its manifest plus its log prefixes) as soon as snapshots
+//!   share history — the `delta` ratio.
 //! - **Availability bound holds**: `measured-D` — the worst replay distance
 //!   anywhere in the run, recomputed from the cold store — never exceeds
 //!   the configured `bound`, even under eviction pressure (the `sparse`
@@ -20,11 +22,12 @@
 //!   restored rather than re-executed on the `dd replay --from` path, and
 //!   the result is digest-identical to a scratch replay (asserted per
 //!   row). `restore-ns`/`warm-ns`/`scratch-ns` break the wall-clock down;
-//!   note that at simulator scale the JSON decode of a cold snapshot can
-//!   cost more than re-executing a few hundred decisions, so the wall
-//!   columns are advisory — the deterministic win is the skipped-prefix
-//!   column, which is what matters when a decision is expensive (the
-//!   regime the paper's checkpointing argument targets).
+//!   note that at simulator scale the JSON decode of a cold snapshot
+//!   (which parses the whole history prefix) can cost more than
+//!   re-executing a few hundred decisions, so the wall columns are
+//!   advisory — the deterministic win is the skipped-prefix column, which
+//!   is what matters when a decision is expensive (the regime the paper's
+//!   checkpointing argument targets).
 
 use dd_core::Workload;
 use dd_replay::{replay_trace, replay_trace_from, Scenario};
@@ -44,10 +47,10 @@ pub struct SnapshotStorePoint {
     pub decisions: u64,
     /// Snapshots still stored after eviction.
     pub stored: u64,
-    /// Total store bytes on disk (index + manifests + deduplicated chunks).
+    /// Total store bytes on disk (index + manifests + log files).
     pub disk_bytes: u64,
     /// Bytes the same snapshots would occupy as standalone artifacts
-    /// (shared chunks counted once per referencing snapshot).
+    /// (shared log prefixes counted once per referencing snapshot).
     pub full_bytes: u64,
     /// `full_bytes / disk_bytes` — what delta encoding saves.
     pub delta: f64,

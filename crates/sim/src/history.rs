@@ -68,9 +68,7 @@ impl<T> ChunkedLog<T> {
 
     /// Reassembles a log from its storage runs: `sealed` chunks (each must
     /// hold exactly `chunk_len` elements) plus the mutable tail. This is the
-    /// decode path of the on-disk snapshot format, which persists sealed
-    /// chunks and the tail separately so a delta snapshot can reference
-    /// already-written chunks by handle.
+    /// decode path of the on-disk snapshot format.
     pub fn from_parts(chunk_len: usize, sealed: Vec<Vec<T>>, tail: Vec<T>) -> Result<Self, String> {
         let chunk_len = chunk_len.max(1);
         let mut sealed_len = 0;
@@ -100,16 +98,6 @@ impl<T> ChunkedLog<T> {
     /// Capacity at which the tail is sealed into a shared chunk.
     pub fn chunk_len(&self) -> usize {
         self.chunk_len
-    }
-
-    /// The `index`-th sealed chunk as a slice, if in bounds.
-    pub fn sealed_chunk(&self, index: usize) -> Option<&[T]> {
-        self.sealed.get(index).map(|c| c.as_slice())
-    }
-
-    /// The mutable tail as a slice.
-    pub fn tail(&self) -> &[T] {
-        &self.tail
     }
 
     /// Appends an element, sealing the tail into a shared chunk when full.

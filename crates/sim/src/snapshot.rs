@@ -6,30 +6,30 @@
 //! - *live* machine state (tasks, variables, locks, channels, ports,
 //!   clocks, RNG, pending environment events) — small, different at every
 //!   snapshot; and
-//! - *history* logs ([`ChunkedLog`]s) — large, append-only, and chunked
-//!   into immutable sealed chunks plus one bounded mutable tail.
+//! - *history* logs ([`ChunkedLog`]s) — large and append-only.
 //!
-//! Sealed chunks never change after sealing, so two snapshots of the same
-//! run share every chunk of their common prefix. The on-disk format
-//! exploits exactly that: a snapshot *manifest* carries the live state, the
-//! inline log tails, and for each log only the *number* of sealed chunks it
-//! references — the chunk payloads themselves are content-addressed by
-//! `(log name, chunk index)` and written once, the first time any snapshot
-//! references them. A later snapshot of the same run is therefore a
-//! *delta*: its manifest plus whichever chunks sealed since the previous
-//! spill.
+//! A history log only grows, so each snapshot's logs are a prefix of every
+//! later snapshot's logs of the same run. The on-disk format exploits
+//! exactly that: a snapshot *manifest* carries the live state and, for each
+//! log, only its geometry and element count `len`. The elements live in one
+//! append-only file per log, shared by every snapshot of the run, so a later
+//! snapshot is a *delta*: its manifest plus the elements logged since the
+//! previous save ([`encode_log_range`]).
 //!
-//! This module owns the *codec* (world ⇄ serializable manifest + chunk
-//! payloads) and the [`SnapshotSink`] hook the driver offers snapshots
-//! through; the store that lays manifests and chunks out on disk (and
-//! enforces the replay-starting-point availability bound) lives in
-//! `dd-trace`, which has the file-format dependencies.
+//! This module owns the *codec* (world ⇄ serializable manifest + log
+//! elements) and the [`SnapshotSink`] hook the driver offers snapshots
+//! through; the store that appends the log files, records where each
+//! snapshot's prefix ends (and enforces the replay-starting-point
+//! availability bound) lives in `dd-trace`, which has the file-format
+//! dependencies.
 //!
 //! Integrity: the manifest embeds the world's state digest, computed from
 //! scratch at encode time, and [`decode_snapshot`] recomputes it from
 //! scratch after reassembly (rebuilding the world's incremental digest
 //! cache on the way) — a truncated or garbled artifact fails decode with an
-//! error naming the mismatch instead of resuming from a corrupt world.
+//! error naming the mismatch instead of resuming from a corrupt world. The
+//! digest covers history *lengths*, not history contents, so the store
+//! checksums each log prefix itself ([`LogManifest::hash`]).
 
 use crate::error::StopReason;
 use crate::history::ChunkedLog;
@@ -41,6 +41,7 @@ use crate::rng::DetRng;
 use serde::{Content, Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::ops::Range;
 
 /// Version tag of the snapshot manifest format.
 ///
@@ -49,30 +50,35 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 /// - v3 changed the manifest's integrity digest to the word-hashed
 ///   per-object construction of the incremental state digest (the live
 ///   state layout is unchanged).
+/// - v4 moved the history logs out of the manifest: it records each log's
+///   element count and the end and checksum of its on-disk prefix, and no
+///   longer carries sealed-chunk counts or inline tails.
 ///
 /// Only the current version decodes: an older manifest's digest cannot be
 /// checked against this build's digest, so its store must be re-recorded.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// One history log's entry in a [`SnapshotManifest`]: the chunking
-/// geometry, how many sealed chunks the snapshot references (their payloads
-/// live in separate content-addressed artifacts), and the mutable tail
-/// inline.
+/// geometry, how many elements the snapshot holds (the log's first `len`),
+/// and where the on-disk prefix holding them ends.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LogManifest {
     /// Canonical log name (`"trace"`, `"decisions"`, `"syslog-3"`, …).
     pub name: String,
     /// Elements per sealed chunk.
     pub chunk_len: u64,
-    /// Number of sealed chunks; payload `i` is fetched by
-    /// `(name, i)` for `i < sealed`.
-    pub sealed: u64,
-    /// The mutable tail, encoded inline (always smaller than one chunk).
-    pub tail: Content,
+    /// Number of elements: the snapshot holds elements `0..len`.
+    pub len: u64,
+    /// Byte length of the on-disk prefix holding elements `0..len`.
+    /// [`encode_manifest`] leaves it 0; the store that writes the log
+    /// fills it in.
+    pub end: u64,
+    /// Checksum of that prefix, filled in by the store like `end`.
+    pub hash: u64,
 }
 
-/// The serializable form of one [`WorldSnapshot`] minus the sealed chunk
-/// payloads (see the [module docs](self) for the delta layout).
+/// The serializable form of one [`WorldSnapshot`] minus the history log
+/// elements (see the [module docs](self) for the delta layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotManifest {
     /// Format version ([`SNAPSHOT_FORMAT_VERSION`]).
@@ -194,18 +200,19 @@ impl LiveState {
     }
 }
 
-fn log_manifest<T: Serialize>(name: &str, log: &ChunkedLog<T>) -> LogManifest {
+fn log_manifest<T>(name: &str, log: &ChunkedLog<T>) -> LogManifest {
     LogManifest {
         name: name.to_owned(),
         chunk_len: log.chunk_len() as u64,
-        sealed: log.sealed_chunk_count() as u64,
-        tail: log.tail().to_content(),
+        len: log.len() as u64,
+        end: 0,
+        hash: 0,
     }
 }
 
-/// Encodes a snapshot's manifest: live state, log geometry, inline tails,
-/// and the integrity digest. Chunk payloads are fetched separately via
-/// [`sealed_chunk`].
+/// Encodes a snapshot's manifest: live state, log geometry and lengths, and
+/// the integrity digest. Log elements are encoded separately via
+/// [`encode_log_range`].
 ///
 /// The scheduling policy is *not* part of the manifest — the two consumers
 /// supply their own (exact replay rebuilds a
@@ -237,49 +244,70 @@ pub fn encode_manifest(snap: &WorldSnapshot) -> SnapshotManifest {
     }
 }
 
-/// Encodes the payload of one sealed chunk of the named log, or `None` if
-/// the log or index does not exist in this snapshot. Chunk payloads are
-/// immutable: `(log, index)` encodes identically in every later snapshot of
-/// the same run, which is what lets a store write each one exactly once.
-pub fn sealed_chunk(snap: &WorldSnapshot, log: &str, index: u64) -> Option<Content> {
+/// Encodes elements `range` of the named log, one [`Content`] per element,
+/// or `None` if the log does not exist in this snapshot or is shorter than
+/// `range.end`. Logged elements never change: element `i` encodes
+/// identically in every later snapshot of the same run, which is what lets
+/// a store append each element exactly once.
+pub fn encode_log_range(
+    snap: &WorldSnapshot,
+    log: &str,
+    range: Range<u64>,
+) -> Option<Vec<Content>> {
+    fn encode<T: Serialize>(log: &ChunkedLog<T>, range: Range<u64>) -> Option<Vec<Content>> {
+        let from = usize::try_from(range.start).ok()?;
+        let to = usize::try_from(range.end).ok()?;
+        (from..to).map(|i| log.get(i).map(T::to_content)).collect()
+    }
     let w = &snap.world;
-    let i = usize::try_from(index).ok()?;
     match log {
-        "trace" => w
-            .trace
-            .as_ref()
-            .and_then(|l| l.sealed_chunk(i))
-            .map(|s| s.to_content()),
-        "outputs" => w.outputs.sealed_chunk(i).map(|s| s.to_content()),
-        "inputs_seen" => w.inputs_seen.sealed_chunk(i).map(|s| s.to_content()),
-        "crashes" => w.crashes.sealed_chunk(i).map(|s| s.to_content()),
-        "decisions" => w.decisions.sealed_chunk(i).map(|s| s.to_content()),
-        "decision_enabled" => w.decision_enabled.sealed_chunk(i).map(|s| s.to_content()),
-        "decision_hashes" => w.decision_hashes.sealed_chunk(i).map(|s| s.to_content()),
-        _ => log
-            .strip_prefix("syslog-")
-            .and_then(|n| n.parse::<usize>().ok())
-            .and_then(|t| w.sys_log.get(t))
-            .and_then(|l| l.sealed_chunk(i))
-            .map(|s| s.to_content()),
+        "trace" => encode(w.trace.as_ref()?, range),
+        "outputs" => encode(&w.outputs, range),
+        "inputs_seen" => encode(&w.inputs_seen, range),
+        "crashes" => encode(&w.crashes, range),
+        "decisions" => encode(&w.decisions, range),
+        "decision_enabled" => encode(&w.decision_enabled, range),
+        "decision_hashes" => encode(&w.decision_hashes, range),
+        _ => {
+            let task = log.strip_prefix("syslog-")?.parse::<usize>().ok()?;
+            encode(w.sys_log.get(task)?, range)
+        }
     }
 }
 
+/// Rebuilds one log from the fetcher's elements, sealing chunks at the
+/// manifest's `chunk_len` exactly as the recording run did.
 fn decode_log<T: Deserialize>(
     m: &LogManifest,
-    fetch: &mut dyn FnMut(&str, u64) -> Result<Content, String>,
+    fetch: &mut dyn FnMut(&LogManifest) -> Result<Vec<Content>, String>,
 ) -> Result<ChunkedLog<T>, String> {
-    let mut sealed = Vec::with_capacity(m.sealed as usize);
-    for i in 0..m.sealed {
-        let payload = fetch(&m.name, i)?;
-        let chunk = Vec::<T>::from_content(&payload)
-            .map_err(|e| format!("log `{}` chunk {i}: {e}", m.name))?;
-        sealed.push(chunk);
+    let elements = fetch(m)?;
+    if elements.len() as u64 != m.len {
+        return Err(format!(
+            "log `{}` holds {} elements, manifest says {}",
+            m.name,
+            elements.len(),
+            m.len
+        ));
     }
-    let tail =
-        Vec::<T>::from_content(&m.tail).map_err(|e| format!("log `{}` tail: {e}", m.name))?;
-    ChunkedLog::from_parts(m.chunk_len as usize, sealed, tail)
-        .map_err(|e| format!("log `{}`: {e}", m.name))
+    let chunk_len = usize::try_from(m.chunk_len).unwrap_or(usize::MAX).max(1);
+    let decode = |run: &[Content], first: usize| -> Result<Vec<T>, String> {
+        let mut values = Vec::with_capacity(run.len());
+        for (j, e) in run.iter().enumerate() {
+            let value = T::from_content(e)
+                .map_err(|e| format!("log `{}` element {}: {e}", m.name, first + j))?;
+            values.push(value);
+        }
+        Ok(values)
+    };
+    let (sealed, tail) = elements.split_at(elements.len() / chunk_len * chunk_len);
+    let sealed = sealed
+        .chunks(chunk_len)
+        .enumerate()
+        .map(|(c, run)| decode(run, c * chunk_len))
+        .collect::<Result<Vec<_>, _>>()?;
+    let tail = decode(tail, sealed.len() * chunk_len)?;
+    ChunkedLog::from_parts(chunk_len, sealed, tail).map_err(|e| format!("log `{}`: {e}", m.name))
 }
 
 fn find<'a>(logs: &'a [LogManifest], name: &str) -> Result<&'a LogManifest, String> {
@@ -288,22 +316,24 @@ fn find<'a>(logs: &'a [LogManifest], name: &str) -> Result<&'a LogManifest, Stri
         .ok_or_else(|| format!("manifest is missing log `{name}`"))
 }
 
-/// Reassembles a [`WorldSnapshot`] from a manifest, a chunk fetcher (called
-/// once per `(log, index)` the manifest references), and the scheduling
-/// policy to attach.
+/// Reassembles a [`WorldSnapshot`] from a manifest, a log fetcher (called
+/// once per log the manifest lists, returning that log's first `len`
+/// elements; its errors pass through unchanged), and the scheduling policy
+/// to attach.
 ///
 /// Fails — never panics — on version mismatch, missing or malformed logs,
 /// and on any digest mismatch between the manifest and the reassembled
 /// world (truncated or garbled artifacts).
 pub fn decode_snapshot(
     manifest: &SnapshotManifest,
-    fetch: &mut dyn FnMut(&str, u64) -> Result<Content, String>,
+    fetch: &mut dyn FnMut(&LogManifest) -> Result<Vec<Content>, String>,
     policy: Box<dyn SchedulePolicy>,
 ) -> Result<WorldSnapshot, String> {
     if manifest.version != SNAPSHOT_FORMAT_VERSION {
         return Err(format!(
-            "unsupported snapshot format version {} (this build reads {})",
-            manifest.version, SNAPSHOT_FORMAT_VERSION
+            "snapshot format v{} is not readable by this build (v{SNAPSHOT_FORMAT_VERSION}); \
+             re-record the trace",
+            manifest.version
         ));
     }
     let live = LiveState::from_content(&manifest.live).map_err(|e| format!("live state: {e}"))?;
@@ -421,6 +451,11 @@ mod tests {
         }
     }
 
+    /// The fetcher of an in-memory snapshot: the log's first `len` elements.
+    fn elements_of(snap: &WorldSnapshot, m: &LogManifest) -> Result<Vec<Content>, String> {
+        encode_log_range(snap, &m.name, 0..m.len).ok_or_else(|| format!("missing log {}", m.name))
+    }
+
     #[test]
     fn encode_decode_roundtrip_resumes_identically() {
         let out = run_program(
@@ -435,9 +470,7 @@ mod tests {
         let manifest = encode_manifest(snap);
         let decoded = decode_snapshot(
             &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
+            &mut |m| elements_of(snap, m),
             snap.policy.clone_box(),
         )
         .expect("roundtrip decodes");
@@ -507,9 +540,7 @@ mod tests {
         let manifest = encode_manifest(snap);
         let decoded = decode_snapshot(
             &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
+            &mut |m| elements_of(snap, m),
             snap.policy.clone_box(),
         )
         .expect("fault-state roundtrip decodes");
@@ -547,9 +578,7 @@ mod tests {
         });
         let err = decode_snapshot(
             &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
+            &mut |m| elements_of(snap, m),
             snap.policy.clone_box(),
         )
         .expect_err("truncated live state must fail decode");
@@ -569,21 +598,34 @@ mod tests {
         );
         let snap = &out.snapshots[out.snapshots.len() / 2];
         let mut manifest = encode_manifest(snap);
+        // Append a garbled element to the crash log; it lands in the log's
+        // mutable tail.
         let crashes = manifest
             .logs
             .iter_mut()
             .find(|l| l.name == "crashes")
             .expect("manifest carries the crash log");
-        crashes.tail = Content::Null;
+        crashes.len += 1;
         let err = decode_snapshot(
             &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
+            &mut |m| {
+                if m.name != "crashes" {
+                    return elements_of(snap, m);
+                }
+                let mut elements = elements_of(
+                    snap,
+                    &LogManifest {
+                        len: m.len - 1,
+                        ..m.clone()
+                    },
+                )?;
+                elements.push(Content::Null);
+                Ok(elements)
             },
             snap.policy.clone_box(),
         )
         .expect_err("garbled crash-log tail must fail decode");
-        assert!(err.contains("log `crashes` tail"), "{err}");
+        assert!(err.contains("log `crashes` element"), "{err}");
     }
 
     #[test]
@@ -599,9 +641,7 @@ mod tests {
         manifest.digest ^= 1;
         let err = decode_snapshot(
             &manifest,
-            &mut |log, i| {
-                sealed_chunk(snap, log, i).ok_or_else(|| format!("missing chunk {log}/{i}"))
-            },
+            &mut |m| elements_of(snap, m),
             snap.policy.clone_box(),
         )
         .expect_err("digest mismatch must fail decode");

@@ -35,7 +35,5 @@ pub use recorder::{
     InputRecorder, OutputRecorder, RecordFilter, ScheduleRecorder, SelectiveRecorder, SiteProfiler,
     ValueRecorder,
 };
-pub use store::{
-    LogRef, RetentionPolicy, SnapEntry, SnapshotStore, StoreError, STORE_FORMAT_VERSION,
-};
+pub use store::{RetentionPolicy, SnapEntry, SnapshotStore, StoreError, STORE_FORMAT_VERSION};
 pub use trace::{AccessRecord, Trace, TraceEvent};

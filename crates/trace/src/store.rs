@@ -7,17 +7,21 @@
 //! trace.jsonl.snapshots/
 //! ├── store.json            index: version, retention policy, snapshot table
 //! ├── snaps/<id>.json       one SnapshotManifest per stored snapshot
-//! └── chunks/<log>-<i>.json sealed ChunkedLog chunks, content-addressed
-//!                           by (log name, chunk index), written once
+//! └── logs/<name>.jsonl     one append-only file per history log, one
+//!                           encoded element per line
 //! ```
 //!
-//! Sealed chunks of a run's history logs are immutable, so consecutive
-//! snapshots of one run share their entire common prefix: saving a new
-//! snapshot writes its manifest plus only the chunks sealed since the
-//! previous save (see [`dd_sim::encode_manifest`]). The `bytes` column of
-//! the index records exactly those fresh bytes — the marginal cost of each
-//! snapshot, which is what `BENCH_snapshot_store.json` plots against full
-//! snapshot sizes.
+//! A run's history logs only grow, so each snapshot's logs are a prefix of
+//! the next one's. Saving a snapshot appends only the elements logged since
+//! the previous save, then writes a manifest with the live state and, per
+//! log, the element count `len`, the byte length `end` of the file prefix
+//! holding those elements, and an FNV-1a checksum of that prefix (see
+//! [`dd_sim::encode_manifest`]). The `bytes` column of the index records
+//! exactly those fresh bytes — the marginal cost of each snapshot, which
+//! is what `BENCH_snapshot_store.json` plots against standalone snapshot
+//! sizes. Loading a snapshot reads each log's first `end` bytes, checks the
+//! checksum and parses `len` lines; the world digest covers history
+//! lengths only, so the checksum is what catches garbled history.
 //!
 //! # The availability bound
 //!
@@ -29,21 +33,28 @@
 //! merged gap, and refuses to evict at all when every candidate would open
 //! a gap wider than `bound`: the bound beats the capacity cap. The
 //! invariant is property-tested in this module under random run lengths,
-//! checkpoint cadences and eviction pressure.
+//! checkpoint cadences and eviction pressure. Eviction deletes only the
+//! evicted manifest: the log files are the run's history prefix, which the
+//! newest snapshot always references.
 //!
-//! One store holds snapshots of **one** recorded run; chunk addresses are
-//! only unique within a run's history.
+//! One store holds snapshots of **one** recorded run, offered in decision
+//! order.
 
 use crate::persist::{load_json, save_json, PersistError};
 use dd_sim::{
-    decode_snapshot, encode_manifest, sealed_chunk, SchedulePolicy, SnapshotManifest, SnapshotSink,
-    WorldSnapshot,
+    decode_snapshot, encode_log_range, encode_manifest, LogManifest, SchedulePolicy,
+    SnapshotManifest, SnapshotSink, WorldSnapshot, SNAPSHOT_FORMAT_VERSION,
 };
 use serde::{Content, Deserialize, Serialize};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Version tag of the `store.json` index format.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+///
+/// v2 replaced the content-addressed `chunks/` directory with one
+/// append-only file per history log under `logs/`, and dropped the
+/// per-snapshot chunk references from the index.
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Placement/eviction policy of a [`SnapshotStore`]: how many snapshots it
 /// may hold and how far apart restorable points are allowed to drift.
@@ -127,16 +138,6 @@ impl RetentionPolicy {
     }
 }
 
-/// One history log referenced by a stored snapshot (how many sealed chunks
-/// of it the snapshot needs — the chunk GC input).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogRef {
-    /// Canonical log name (`"decisions"`, `"syslog-3"`, …).
-    pub name: String,
-    /// Number of sealed chunks referenced (`0..sealed`).
-    pub sealed: u64,
-}
-
 /// Index row of one stored snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapEntry {
@@ -150,14 +151,12 @@ pub struct SnapEntry {
     /// Execution-clock value at the snapshot point.
     pub time: u64,
     /// Bytes newly written when this snapshot was saved (its manifest plus
-    /// the chunks no earlier snapshot had already persisted) — the
+    /// the log elements appended since the previous save) — the
     /// snapshot's marginal on-disk cost.
     pub bytes: u64,
     /// The previously stored snapshot this one delta-encodes against
     /// (`None` for the first snapshot of the run).
     pub parent: Option<u64>,
-    /// Chunk references, for garbage collection on eviction.
-    pub logs: Vec<LogRef>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -222,6 +221,44 @@ fn persist_err(file: &Path, e: PersistError) -> StoreError {
     }
 }
 
+fn corrupt(file: &Path, detail: String) -> StoreError {
+    StoreError::Corrupt {
+        file: file.to_owned(),
+        detail,
+    }
+}
+
+/// Reads a versioned JSON artifact, rejecting any other version by name
+/// before decoding its fields: another version's fields need not parse as
+/// this one's, and its digests cannot be checked by this build.
+fn load_versioned<T: Deserialize>(path: &Path, what: &str, current: u32) -> Result<T, StoreError> {
+    let content: Content = load_json(path).map_err(|e| persist_err(path, e))?;
+    let version = content
+        .as_map()
+        .and_then(|m| serde::field(m, "version", what).ok())
+        .and_then(|v| u32::from_content(v).ok());
+    match version {
+        Some(v) if v != current => Err(corrupt(
+            path,
+            format!(
+                "{what} format v{v} is not readable by this build (v{current}); \
+                 re-record the trace"
+            ),
+        )),
+        _ => T::from_content(&content).map_err(|e| corrupt(path, e.to_string())),
+    }
+}
+
+/// FNV-1a offset basis: the checksum of an empty log prefix.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends the FNV-1a checksum `h` of a log prefix over `bytes`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// A directory of persistent, delta-encoded snapshots of one recorded run
 /// (see the [module docs](self) for layout and guarantees).
 ///
@@ -235,6 +272,11 @@ fn persist_err(file: &Path, e: PersistError) -> StoreError {
 pub struct SnapshotStore {
     dir: PathBuf,
     index: StoreIndex,
+    /// The logs of the manifest this handle saved last: how far each log
+    /// file has been appended. Empty until the first save, so the first
+    /// save of a reopened store rewrites each log whole (the same run
+    /// writes the same prefix).
+    appended: Vec<LogManifest>,
 }
 
 impl SnapshotStore {
@@ -243,7 +285,7 @@ impl SnapshotStore {
     /// store describes exactly one recording).
     pub fn create(dir: impl Into<PathBuf>, policy: RetentionPolicy) -> Result<Self, StoreError> {
         let dir = dir.into();
-        for sub in ["chunks", "snaps"] {
+        for sub in ["logs", "snaps"] {
             let p = dir.join(sub);
             std::fs::create_dir_all(&p).map_err(|source| StoreError::Io { file: p, source })?;
         }
@@ -255,26 +297,23 @@ impl SnapshotStore {
                 next_id: 0,
                 snaps: Vec::new(),
             },
+            appended: Vec::new(),
         };
         store.persist_index()?;
         Ok(store)
     }
 
-    /// Opens an existing store, validating the index format.
+    /// Opens an existing store, validating the index format. A store of
+    /// another format version (such as the v1 `chunks/` layout) is refused
+    /// by name.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
-        let ipath = dir.join("store.json");
-        let index: StoreIndex = load_json(&ipath).map_err(|e| persist_err(&ipath, e))?;
-        if index.version != STORE_FORMAT_VERSION {
-            return Err(StoreError::Corrupt {
-                file: ipath,
-                detail: format!(
-                    "unsupported store version {} (this build reads {STORE_FORMAT_VERSION})",
-                    index.version
-                ),
-            });
-        }
-        Ok(SnapshotStore { dir, index })
+        let index = load_versioned(&dir.join("store.json"), "store", STORE_FORMAT_VERSION)?;
+        Ok(SnapshotStore {
+            dir,
+            index,
+            appended: Vec::new(),
+        })
     }
 
     /// The store's directory.
@@ -308,7 +347,7 @@ impl SnapshotStore {
         RetentionPolicy::max_gap(&kept, run_len)
     }
 
-    /// Total bytes currently on disk (index, manifests and live chunks).
+    /// Total bytes currently on disk (index, manifests and log files).
     pub fn disk_bytes(&self) -> u64 {
         fn walk(dir: &Path) -> u64 {
             let Ok(entries) = std::fs::read_dir(dir) else {
@@ -331,29 +370,28 @@ impl SnapshotStore {
 
     /// Bytes the stored snapshots would occupy *without* delta encoding:
     /// every snapshot counted as a standalone artifact (its manifest plus
-    /// every history chunk it references), so chunks shared between
-    /// snapshots are counted once per referencing snapshot. Comparing this
-    /// against [`disk_bytes`](Self::disk_bytes) measures what
-    /// content-addressed chunk sharing saves (the ABL-12 sweep).
+    /// the log prefix it references, `end` bytes per log), so history
+    /// shared between snapshots is counted once per referencing snapshot.
+    /// Comparing this against [`disk_bytes`](Self::disk_bytes) measures
+    /// what sharing the append-only logs saves (the ABL-12 sweep). A
+    /// manifest that cannot be read counts as its file size alone.
     pub fn standalone_bytes(&self) -> u64 {
-        let file_len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
         self.index
             .snaps
             .iter()
             .map(|e| {
-                file_len(&self.manifest_path(e.id))
-                    + e.logs
-                        .iter()
-                        .flat_map(|log| {
-                            (0..log.sealed).map(|i| file_len(&self.chunk_path(&log.name, i)))
-                        })
-                        .sum::<u64>()
+                let path = self.manifest_path(e.id);
+                let file = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                let logs = load_json::<SnapshotManifest>(&path)
+                    .map(|m| m.logs.iter().map(|l| l.end).sum::<u64>())
+                    .unwrap_or(0);
+                file + logs
             })
             .sum()
     }
 
-    fn chunk_path(&self, log: &str, index: u64) -> PathBuf {
-        self.dir.join("chunks").join(format!("{log}-{index}.json"))
+    fn log_path(&self, log: &str) -> PathBuf {
+        self.dir.join("logs").join(format!("{log}.jsonl"))
     }
 
     fn manifest_path(&self, id: u64) -> PathBuf {
@@ -365,39 +403,61 @@ impl SnapshotStore {
         save_json(&self.index, &ipath).map_err(|e| persist_err(&ipath, e))
     }
 
-    /// Persists one snapshot: writes the chunks no earlier save already
-    /// wrote, then the manifest, then re-applies the retention policy and
-    /// the index. Returns the store id the snapshot is retrievable under.
+    /// Persists one snapshot: appends each log's elements logged since the
+    /// previous save, writes the manifest, then re-applies the retention
+    /// policy and the index. Returns the store id the snapshot is
+    /// retrievable under.
     ///
     /// Snapshots must be offered in increasing decision order (they are, by
     /// construction, when the store is a run's
-    /// [`snapshot_sink`](dd_sim::RunConfig)).
+    /// [`snapshot_sink`](dd_sim::RunConfig)); a snapshot whose log is
+    /// shorter than what the store already holds is refused.
     pub fn save(&mut self, snap: &WorldSnapshot) -> Result<u64, StoreError> {
-        let manifest = encode_manifest(snap);
+        let mut manifest = encode_manifest(snap);
         let mut fresh = 0u64;
-        for log in &manifest.logs {
-            for i in 0..log.sealed {
-                let path = self.chunk_path(&log.name, i);
-                if path.exists() {
-                    continue;
-                }
-                let payload =
-                    sealed_chunk(snap, &log.name, i).ok_or_else(|| StoreError::Corrupt {
-                        file: path.clone(),
-                        detail: format!(
-                            "snapshot references chunk {i} of log {:?} but the world has none",
-                            log.name
-                        ),
-                    })?;
-                save_json(&payload, &path).map_err(|e| persist_err(&path, e))?;
-                fresh += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        for log in &mut manifest.logs {
+            let path = self.log_path(&log.name);
+            let (len, end, hash) = self
+                .appended
+                .iter()
+                .find(|p| p.name == log.name)
+                .map_or((0, 0, FNV_OFFSET), |p| (p.len, p.end, p.hash));
+            if log.len < len {
+                return Err(corrupt(
+                    &path,
+                    format!(
+                        "the snapshot at decision {} holds {} elements, the file already {len}; \
+                         a store takes one run's snapshots in decision order",
+                        manifest.decision, log.len
+                    ),
+                ));
             }
+            let elements = encode_log_range(snap, &log.name, len..log.len)
+                .ok_or_else(|| corrupt(&path, format!("the snapshot has no log {:?}", log.name)))?;
+            let mut lines = String::new();
+            for element in elements {
+                let line =
+                    serde_json::to_string(&element).map_err(|e| corrupt(&path, e.to_string()))?;
+                lines.push_str(&line);
+                lines.push('\n');
+            }
+            if !lines.is_empty() {
+                append_at(&path, end, lines.as_bytes())
+                    .map_err(|source| StoreError::Io { file: path, source })?;
+            }
+            log.end = end + lines.len() as u64;
+            log.hash = fnv1a(hash, lines.as_bytes());
+            fresh += lines.len() as u64;
         }
         let id = self.index.next_id;
         self.index.next_id += 1;
         let mpath = self.manifest_path(id);
-        save_json(&manifest, &mpath).map_err(|e| persist_err(&mpath, e))?;
-        fresh += std::fs::metadata(&mpath).map(|m| m.len()).unwrap_or(0);
+        let text = serde_json::to_string(&manifest).map_err(|e| corrupt(&mpath, e.to_string()))?;
+        std::fs::write(&mpath, &text).map_err(|source| StoreError::Io {
+            file: mpath,
+            source,
+        })?;
+        fresh += text.len() as u64;
         let parent = self.index.snaps.last().map(|s| s.id);
         self.index.snaps.push(SnapEntry {
             id,
@@ -406,80 +466,116 @@ impl SnapshotStore {
             time: manifest.time,
             bytes: fresh,
             parent,
-            logs: manifest
-                .logs
-                .iter()
-                .map(|l| LogRef {
-                    name: l.name.clone(),
-                    sealed: l.sealed,
-                })
-                .collect(),
         });
+        self.appended = manifest.logs;
 
         let mut kept: Vec<u64> = self.index.snaps.iter().map(|s| s.decision).collect();
-        let policy = self.index.policy;
-        for decision in policy.evictions(&mut kept) {
-            self.evict(decision);
+        for decision in self.index.policy.evictions(&mut kept) {
+            if let Some(pos) = self.index.snaps.iter().position(|s| s.decision == decision) {
+                let gone = self.index.snaps.remove(pos);
+                std::fs::remove_file(self.manifest_path(gone.id)).ok();
+            }
         }
         self.persist_index()?;
         Ok(id)
     }
 
-    /// Drops the snapshot stored at `decision`: removes its index row and
-    /// manifest, then garbage-collects chunks no remaining snapshot
-    /// references.
-    fn evict(&mut self, decision: u64) {
-        let Some(pos) = self.index.snaps.iter().position(|s| s.decision == decision) else {
-            return;
-        };
-        let gone = self.index.snaps.remove(pos);
-        std::fs::remove_file(self.manifest_path(gone.id)).ok();
-        for log in &gone.logs {
-            let still_needed = |i: u64| {
-                self.index
-                    .snaps
-                    .iter()
-                    .any(|s| s.logs.iter().any(|l| l.name == log.name && l.sealed > i))
-            };
-            for i in 0..log.sealed {
-                if !still_needed(i) {
-                    std::fs::remove_file(self.chunk_path(&log.name, i)).ok();
-                }
-            }
+    /// The first `m.len` elements of a log, read from the first `m.end`
+    /// bytes of its file and checked against the checksum `manifest`
+    /// recorded. Errors name the log file (and the manifest, when the
+    /// two disagree).
+    fn read_log(&self, m: &LogManifest, manifest: &Path) -> Result<Vec<Content>, StoreError> {
+        if m.name.is_empty()
+            || !m
+                .name
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+        {
+            return Err(corrupt(
+                manifest,
+                format!("log name {:?} is not a plain file name", m.name),
+            ));
         }
+        let path = self.log_path(&m.name);
+        // A log nothing was ever appended to has no file.
+        let mut bytes = Vec::new();
+        if m.end > 0 {
+            std::fs::File::open(&path)
+                .and_then(|f| f.take(m.end).read_to_end(&mut bytes))
+                .map_err(|source| StoreError::Io {
+                    file: path.clone(),
+                    source,
+                })?;
+        }
+        if (bytes.len() as u64) < m.end {
+            return Err(corrupt(
+                &path,
+                format!(
+                    "file holds {} bytes, {} says its prefix ends at {}",
+                    bytes.len(),
+                    manifest.display(),
+                    m.end
+                ),
+            ));
+        }
+        if fnv1a(FNV_OFFSET, &bytes) != m.hash {
+            return Err(corrupt(
+                &path,
+                format!(
+                    "the first {} bytes do not match the checksum in {}",
+                    m.end,
+                    manifest.display()
+                ),
+            ));
+        }
+        let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(&path, e.to_string()))?;
+        text.split_terminator('\n')
+            .enumerate()
+            .map(|(i, line)| {
+                serde_json::from_str(line)
+                    .map_err(|e| corrupt(&path, format!("line {}: {e}", i + 1)))
+            })
+            .collect()
     }
 
     /// Restores the snapshot stored under `id`, attaching `policy` as the
     /// resumed world's scheduler. Fails — naming the offending file —
-    /// when the manifest or any referenced chunk is missing, garbled or
-    /// fails the world-digest integrity check.
+    /// when the manifest or any log prefix it references is missing,
+    /// garbled, of another format version, or fails the world-digest
+    /// integrity check.
     pub fn load(
         &self,
         id: u64,
         policy: Box<dyn SchedulePolicy>,
     ) -> Result<WorldSnapshot, StoreError> {
         let mpath = self.manifest_path(id);
-        let manifest: SnapshotManifest = load_json(&mpath).map_err(|e| persist_err(&mpath, e))?;
-        let mut failed_chunk: Option<(PathBuf, String)> = None;
-        let mut fetch = |name: &str, i: u64| -> Result<Content, String> {
-            let path = self.chunk_path(name, i);
-            load_json::<Content>(&path).map_err(|e| {
+        let manifest: SnapshotManifest =
+            load_versioned(&mpath, "snapshot", SNAPSHOT_FORMAT_VERSION)?;
+        let mut failed: Option<StoreError> = None;
+        let mut fetch = |m: &LogManifest| {
+            self.read_log(m, &mpath).map_err(|e| {
                 let detail = e.to_string();
-                failed_chunk = Some((path.clone(), detail.clone()));
+                failed = Some(e);
                 detail
             })
         };
-        decode_snapshot(&manifest, &mut fetch, policy).map_err(|detail| match failed_chunk.take() {
-            Some((file, chunk_detail)) if detail.contains(&chunk_detail) => StoreError::Corrupt {
-                file,
-                detail: chunk_detail,
-            },
-            _ => StoreError::Corrupt {
-                file: mpath.clone(),
-                detail,
-            },
-        })
+        decode_snapshot(&manifest, &mut fetch, policy)
+            .map_err(|detail| failed.take().unwrap_or_else(|| corrupt(&mpath, detail)))
     }
+}
+
+/// Writes `bytes` into the log file at `path` at byte offset `at`, where
+/// the previous save's prefix ends. A fresh log (`at == 0`) truncates
+/// whatever file was there; anything past `at` left by a failed save is
+/// overwritten or lies beyond every manifest's `end`.
+fn append_at(path: &Path, at: u64, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(at == 0)
+        .open(path)?;
+    file.seek(SeekFrom::Start(at))?;
+    file.write_all(bytes)
 }
 
 impl SnapshotSink for SnapshotStore {
@@ -543,13 +639,19 @@ mod tests {
         }
     }
 
-    fn spill_cfg(store: SnapshotStore) -> RunConfig {
+    fn checkpointed_cfg(max_decision: u64) -> RunConfig {
         RunConfig {
             seed: 11,
-            checkpoints: Some(CheckpointPlan::new(4, 400)),
-            snapshot_sink: Some(Box::new(store)),
+            checkpoints: Some(CheckpointPlan::new(4, max_decision)),
             hash_decisions: true,
             ..RunConfig::default()
+        }
+    }
+
+    fn spill_cfg(store: SnapshotStore) -> RunConfig {
+        RunConfig {
+            snapshot_sink: Some(Box::new(store)),
+            ..checkpointed_cfg(400)
         }
     }
 
@@ -650,7 +752,7 @@ mod tests {
             store.list().iter().map(|s| s.decision).collect::<Vec<_>>()
         );
         // Parent pointers record the delta parent at save time; an evicted
-        // parent does not break loading (the shared chunks survive GC).
+        // parent does not break loading (eviction never touches the logs).
         let list = store.list();
         assert!(list.len() >= 2);
         for e in list {
@@ -679,25 +781,29 @@ mod tests {
         let store = SnapshotStore::open(&dir).unwrap();
         let entry = store.list().last().unwrap().clone();
 
-        // Garble one chunk payload: decode must fail naming that file.
-        let mut chunk_files: Vec<PathBuf> = std::fs::read_dir(dir.join("chunks"))
-            .unwrap()
-            .flatten()
-            .map(|e| e.path())
-            .collect();
-        chunk_files.sort();
-        let victim = chunk_files.first().expect("a deep run seals chunks");
-        let original = std::fs::read(victim).unwrap();
-        std::fs::write(victim, b"{garbled").unwrap();
-        let err = store
+        // Garble a middle line of a log, then cut the log short of the
+        // newest manifest's `end`: both must fail naming the log file.
+        let victim = dir.join("logs").join("decisions.jsonl");
+        let original = std::fs::read_to_string(&victim).unwrap();
+        let lines: Vec<&str> = original.lines().collect();
+        assert!(lines.len() > 2, "a deep run logs many decisions");
+        let mid = lines.len() / 2;
+        let garbled = original.replacen(lines[mid], "{garbled", 1);
+        let cut = &original[..original.len() - 1];
+        for (how, body) in [("garbled", garbled.as_str()), ("truncated", cut)] {
+            std::fs::write(&victim, body).unwrap();
+            let err = store
+                .load(entry.id, Box::new(RandomPolicy::new(1)))
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("logs/decisions.jsonl"),
+                "{how}: error names the corrupt log file: {err}"
+            );
+        }
+        std::fs::write(&victim, &original).unwrap();
+        store
             .load(entry.id, Box::new(RandomPolicy::new(1)))
-            .unwrap_err();
-        let victim_name = victim.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(
-            err.to_string().contains(&victim_name),
-            "error names the corrupt file {victim_name}: {err}"
-        );
-        std::fs::write(victim, &original).unwrap();
+            .expect("the restored log loads again");
 
         // Truncate the manifest: same contract.
         let mpath = dir.join("snaps").join(format!("{}.json", entry.id));
@@ -715,6 +821,87 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let err = SnapshotStore::open(&dir).unwrap_err();
         assert!(err.to_string().contains("store.json"), "{err}");
+    }
+
+    #[test]
+    fn a_reopened_store_saves_and_keeps_every_snapshot_loadable() {
+        let dir = tmp_store_dir("reopen");
+        let store = SnapshotStore::create(&dir, RetentionPolicy::new(16, 64)).unwrap();
+        let short = RunConfig {
+            snapshot_sink: Some(Box::new(store)),
+            ..checkpointed_cfg(100)
+        };
+        run_program(&Racer, short, Box::new(RandomPolicy::new(7)), vec![]);
+        // The same run, checkpointed further and kept in memory.
+        let long = run_program(
+            &Racer,
+            checkpointed_cfg(400),
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        let newest = store.list().last().unwrap().decision;
+        let later = long
+            .snapshots
+            .iter()
+            .find(|s| s.at_decision() > newest)
+            .expect("the longer plan checkpoints past the short one");
+        let id = store.save(later).unwrap();
+        for entry in SnapshotStore::open(&dir).unwrap().list() {
+            let snap = store
+                .load(entry.id, Box::new(RandomPolicy::new(1)))
+                .unwrap();
+            assert_eq!(snap.at_decision(), entry.decision);
+        }
+        let back = store.load(id, Box::new(RandomPolicy::new(1))).unwrap();
+        assert_eq!(encode_manifest(&back).digest, encode_manifest(later).digest);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn other_format_versions_are_refused_asking_for_a_re_record() {
+        let dir = tmp_store_dir("versions");
+        let store = SnapshotStore::create(&dir, RetentionPolicy::new(16, 64)).unwrap();
+        run_program(
+            &Racer,
+            spill_cfg(store),
+            Box::new(RandomPolicy::new(7)),
+            vec![],
+        );
+        let store = SnapshotStore::open(&dir).unwrap();
+        let id = store.list()[0].id;
+
+        // A v3 manifest (sealed-chunk counts and inline tails) is refused
+        // by version, before its v3-only fields fail to parse.
+        let mpath = dir.join("snaps").join(format!("{id}.json"));
+        let v3 = r#"{"version":3,"decision":4,"step":9,"time":9,"digest":1,"live":{},
+            "logs":[{"name":"decisions","chunk_len":256,"sealed":0,"tail":[]}]}"#;
+        std::fs::write(&mpath, v3).unwrap();
+        let err = store
+            .load(id, Box::new(RandomPolicy::new(1)))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("{id}.json"))
+                && err.contains("snapshot format v3")
+                && err.contains("re-record the trace"),
+            "{err}"
+        );
+
+        // A v1 store: the `chunks/` layout, with chunk references in the
+        // index rows.
+        let v1 = r#"{"version":1,"policy":{"bound":16,"max_snapshots":64},"next_id":1,
+            "snaps":[{"id":0,"decision":4,"step":9,"time":9,"bytes":10,"parent":null,
+            "logs":[{"name":"decisions","sealed":1}]}]}"#;
+        std::fs::write(dir.join("store.json"), v1).unwrap();
+        let err = SnapshotStore::open(&dir).unwrap_err().to_string();
+        assert!(
+            err.contains("store.json")
+                && err.contains("store format v1")
+                && err.contains("re-record the trace"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     proptest! {

@@ -215,6 +215,68 @@ fn old_digest_version_trace_exits_four_asking_for_a_re_record() {
 }
 
 #[test]
+fn old_snapshot_store_format_exits_four_asking_for_a_re_record() {
+    let trace = scratch("v1-store.jsonl");
+    let out = dd(&[
+        "record",
+        "msgserver",
+        "--out",
+        trace.to_str().unwrap(),
+        "--spill",
+    ]);
+    assert_eq!(code(&out), 0, "record --spill failed: {}", stderr(&out));
+    let store = PathBuf::from(format!("{}.snapshots", trace.display()));
+    let from = JsonlTrace::load(&trace)
+        .unwrap()
+        .footer
+        .decisions
+        .to_string();
+    let replay_from = || dd(&["replay", trace.to_str().unwrap(), "--from", &from]);
+
+    // A v3 snapshot manifest (sealed-chunk counts and inline tails).
+    let index = std::fs::read_to_string(store.join("store.json")).unwrap();
+    let manifests: Vec<PathBuf> = std::fs::read_dir(store.join("snaps"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    for m in &manifests {
+        let text = std::fs::read_to_string(m).unwrap();
+        let current = format!(
+            "\"version\":{}",
+            debug_determinism::sim::SNAPSHOT_FORMAT_VERSION
+        );
+        assert!(text.starts_with(&format!("{{{current}")), "{text:.40}");
+        std::fs::write(m, text.replacen(&current, "\"version\":3", 1)).unwrap();
+    }
+    let out = replay_from();
+    assert_eq!(code(&out), 4, "stdout: {}", stdout(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("snaps/") && err.contains("snapshot format v3") && err.contains("re-record"),
+        "stderr: {err}"
+    );
+
+    // A v1 store (the `chunks/` layout) is refused at its index.
+    let current = format!(
+        "\"version\":{}",
+        debug_determinism::trace::STORE_FORMAT_VERSION
+    );
+    assert!(index.contains(&current), "{index:.40}");
+    std::fs::write(
+        store.join("store.json"),
+        index.replacen(&current, "\"version\":1", 1),
+    )
+    .unwrap();
+    let out = replay_from();
+    assert_eq!(code(&out), 4, "stdout: {}", stdout(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("store.json") && err.contains("store format v1") && err.contains("re-record"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
 fn model_artifact_record_and_replay_round_trip_through_the_binary() {
     let artifact = scratch("msgserver.msg-order.json");
     let out = dd(&[

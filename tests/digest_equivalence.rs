@@ -14,9 +14,9 @@
 use debug_determinism::core::{RunSetup, Workload};
 use debug_determinism::hyperstore::{HyperConfig, HyperstoreFailoverWorkload, HyperstoreWorkload};
 use debug_determinism::sim::{
-    decode_snapshot, encode_manifest, resume_program, run_program, sealed_chunk, CheckpointPlan,
-    PartitionEvent, RandomPolicy, RecordedDecision, ReplayPolicy, RestartEvent, RunConfig,
-    RunOutput, SnapshotSink, WorldSnapshot,
+    decode_snapshot, encode_log_range, encode_manifest, resume_program, run_program,
+    CheckpointPlan, PartitionEvent, RandomPolicy, RecordedDecision, ReplayPolicy, RestartEvent,
+    RunConfig, RunOutput, SnapshotSink, WorldSnapshot,
 };
 use debug_determinism::workloads::{
     BufOverflowWorkload, MsgServerConfig, MsgServerWorkload, SumWorkload,
@@ -135,7 +135,9 @@ fn through_disk(snap: &WorldSnapshot, recorded: &RunOutput) -> WorldSnapshot {
     let manifest = encode_manifest(snap);
     decode_snapshot(
         &manifest,
-        &mut |log, i| sealed_chunk(snap, log, i).ok_or_else(|| format!("no chunk {log}/{i}")),
+        &mut |m| {
+            encode_log_range(snap, &m.name, 0..m.len).ok_or_else(|| format!("no log {}", m.name))
+        },
         replay_from(recorded, snap.at_decision() as usize),
     )
     .expect("snapshot decodes")

@@ -7,8 +7,9 @@
 //!   on-disk artifacts) and reproduces the recorded digest stream for all
 //!   four workloads — including the scratch fallback when the run is too
 //!   short to have stored anything;
-//! - corrupt store artifacts (garbled chunk, truncated manifest, garbled
-//!   index) exit `4` and name the offending file, never panic;
+//! - corrupt store artifacts (garbled log file, garbled log line, log cut
+//!   short, truncated manifest, garbled index) exit `4` and name the
+//!   offending file, never panic;
 //! - `dd snapshots` lists the store.
 
 use std::path::{Path, PathBuf};
@@ -120,20 +121,46 @@ fn replay_from_restores_a_mid_run_snapshot_not_scratch() {
     );
 }
 
+/// The store's `logs/` directory next to a spilled trace.
+fn logs_dir(trace: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.snapshots", trace.display())).join("logs")
+}
+
+/// `dd replay --from <decision>` on `trace`, asserting exit 4 with an error
+/// naming `logs/<file>`.
+fn assert_replay_from_names(trace: &Path, from: u64, file: &str) {
+    let out = dd(&[
+        "replay",
+        trace.to_str().unwrap(),
+        "--from",
+        &from.to_string(),
+    ]);
+    assert_eq!(
+        code(&out),
+        4,
+        "stdout: {} stderr: {}",
+        stdout(&out),
+        stderr(&out)
+    );
+    let err = stderr(&out);
+    assert!(
+        err.contains(&format!("logs/{file}")),
+        "error must name logs/{file}: {err}"
+    );
+}
+
 #[test]
-fn corrupt_chunk_exits_four_and_names_the_file() {
-    let trace = scratch("corrupt-chunk.jsonl");
+fn corrupt_log_file_exits_four_and_names_the_file() {
+    let trace = scratch("corrupt-log.jsonl");
     record_spilled("msgserver", &trace);
-    let chunks = PathBuf::from(format!("{}.snapshots", trace.display())).join("chunks");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&chunks)
-        .expect("chunks dir exists")
+    let mut files: Vec<PathBuf> = std::fs::read_dir(logs_dir(&trace))
+        .expect("logs dir exists")
         .map(|e| e.unwrap().path())
         .collect();
     files.sort();
-    assert!(!files.is_empty(), "spilled store has sealed chunks");
-    // Which chunks a restore touches depends on which snapshot is nearest,
-    // so garble them all: the restore must fail on whichever it reads
-    // first, and the error must name that file.
+    assert!(!files.is_empty(), "spilled store has log files");
+    // Garble them all: the restore must fail on whichever it reads first,
+    // and the error must name that file.
     for victim in &files {
         std::fs::write(victim, "{ not json").unwrap();
     }
@@ -157,8 +184,31 @@ fn corrupt_chunk_exits_four_and_names_the_file() {
         files
             .iter()
             .any(|f| err.contains(f.file_name().unwrap().to_str().unwrap())),
-        "error must name the corrupt chunk file: {err}"
+        "error must name the corrupt log file: {err}"
     );
+}
+
+#[test]
+fn garbled_middle_log_line_exits_four_and_names_the_file() {
+    let trace = scratch("garbled-line.jsonl");
+    record_spilled("msgserver", &trace);
+    let victim = logs_dir(&trace).join("decisions.jsonl");
+    let text = std::fs::read_to_string(&victim).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let mid = lines[lines.len() / 2];
+    std::fs::write(&victim, text.replacen(mid, "{\"garbled\":", 1)).unwrap();
+    // The newest snapshot's prefix spans the whole file.
+    assert_replay_from_names(&trace, decisions_of(&trace), "decisions.jsonl");
+}
+
+#[test]
+fn log_cut_short_of_the_manifest_end_exits_four_and_names_the_file() {
+    let trace = scratch("short-log.jsonl");
+    record_spilled("msgserver", &trace);
+    let victim = logs_dir(&trace).join("decisions.jsonl");
+    let body = std::fs::read(&victim).unwrap();
+    std::fs::write(&victim, &body[..body.len() - body.len() / 4]).unwrap();
+    assert_replay_from_names(&trace, decisions_of(&trace), "decisions.jsonl");
 }
 
 #[test]
