@@ -7,10 +7,7 @@ use dd_core::InferenceBudget;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let budget = InferenceBudget::builder()
-        .max_executions(96)
-        .build()
-        .expect("static budget is coherent");
+    let budget = InferenceBudget::executions(96);
     let result = fig2(&budget);
     if json {
         println!(

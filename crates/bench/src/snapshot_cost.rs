@@ -159,11 +159,12 @@ pub fn deep_msgserver_point() -> SnapshotCostPoint {
     let w = MsgServerWorkload::discover(MsgServerConfig::default(), 64)
         .expect("msgserver failing seed");
     let scenario = w.scenario();
-    let mut out = scenario.execute_checkpointed(
-        &scenario.original_spec(),
-        CheckpointPlan::new(1, 255),
-        vec![],
-    );
+    let spec = scenario.original_spec();
+    let cfg = RunConfig {
+        checkpoints: Some(CheckpointPlan::new(1, 255)),
+        ..scenario.config(&spec)
+    };
+    let mut out = run_program(scenario.program.as_ref(), cfg, spec.policy.build(), vec![]);
     let snapshots = std::mem::take(&mut out.snapshots);
     point_of("msgserver-deep".to_owned(), &out, &snapshots)
         .expect("deep msgserver run takes snapshots")

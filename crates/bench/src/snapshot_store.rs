@@ -31,7 +31,7 @@
 
 use dd_core::Workload;
 use dd_replay::{replay_trace, replay_trace_from, Scenario};
-use dd_sim::{CheckpointPlan, RandomPolicy};
+use dd_sim::{CheckpointPlan, RandomPolicy, RunConfig};
 use dd_trace::{JsonlTrace, RetentionPolicy, SnapshotStore, TraceHeader};
 use dd_workloads::{MsgServerConfig, MsgServerWorkload};
 use serde::{Deserialize, Serialize};
@@ -88,12 +88,14 @@ fn record_spilled(
 ) -> JsonlTrace {
     let _ = std::fs::remove_dir_all(dir);
     let store = SnapshotStore::create(dir, policy).expect("temp store is creatable");
-    let out = scenario.execute_spilled(
-        &scenario.original_spec(),
-        CheckpointPlan::new(every, u64::MAX),
-        Box::new(store),
-        vec![],
-    );
+    let spec = scenario.original_spec();
+    let cfg = RunConfig {
+        checkpoints: Some(CheckpointPlan::new(every, u64::MAX)),
+        hash_decisions: true,
+        snapshot_sink: Some(Box::new(store)),
+        ..scenario.config(&spec)
+    };
+    let out = dd_sim::run_program(scenario.program.as_ref(), cfg, spec.policy.build(), vec![]);
     assert!(
         out.spill_errors.is_empty(),
         "spill to temp store failed: {:?}",

@@ -16,9 +16,8 @@
 //!   `--from N`, restore the nearest stored snapshot at or before decision
 //!   `N` and fast-forward the remainder.
 //! - `dd explore <trace>`: hand the recorded configuration to the
-//!   systematic (DPOR / parallel) search and look for other executions of
-//!   the recorded failure; `--warm` seeds the walk from the trace's
-//!   snapshot store.
+//!   systematic (DPOR) search, on `--workers` threads, and look for other
+//!   executions of the recorded failure.
 //! - `dd snapshots <trace>`: list the trace's on-disk snapshot store.
 //! - `dd promote <trace> --emit-test`: render the trace into a committed
 //!   fixture plus a Rust integration test that replays it in tier-1.
@@ -115,7 +114,7 @@ USAGE:
                             [--restart TIME:GROUP]...
     dd replay    <trace>    [--invariant-only] [--snapshot FILE] [--model]
                             [--from DECISION]
-    dd explore   <trace>    [--executions N] [--depth N] [--workers N] [--warm]
+    dd explore   <trace>    [--executions N] [--depth N] [--workers N]
     dd snapshots <trace>
     dd promote   <trace>    --emit-test [--name NAME] [--dir DIR]
 
@@ -138,8 +137,7 @@ SNAPSHOT SPILLING:
     `dd record --spill` writes world checkpoints to <trace>.snapshots/
     (an on-disk SnapshotStore) instead of RAM. `dd replay --from N`
     restores the nearest stored snapshot at or before decision N and
-    fast-forwards the rest; `dd snapshots` lists the store; `dd explore
-    --warm` seeds the search from it.
+    fast-forwards the rest; `dd snapshots` lists the store.
 
 EXIT CODES:
     0 identical   1 divergence   2 invariant drift   3 usage   4 I/O
@@ -751,7 +749,7 @@ fn divergence_verdict(
 }
 
 /// The snapshot-store directory written next to a trace by `dd record
-/// --spill` (and read back by `--from`, `--warm` and `dd snapshots`).
+/// --spill` (and read back by `--from` and `dd snapshots`).
 fn store_dir_for(trace_path: &str) -> PathBuf {
     PathBuf::from(format!("{trace_path}.snapshots"))
 }
@@ -966,16 +964,11 @@ fn cmd_explore(rest: &[String]) -> i32 {
     let mut executions: u64 = 256;
     let mut depth: u32 = dd_core::driver::DEFAULT_EXPLORE_DEPTH;
     let mut workers: u32 = 1;
-    let mut warm = false;
     while let Some(a) = args.next() {
         let r = match a {
             "--executions" => args.parse("--executions").map(|v| executions = v),
             "--depth" => args.parse("--depth").map(|v| depth = v),
             "--workers" => args.parse("--workers").map(|v| workers = v),
-            "--warm" => {
-                warm = true;
-                Ok(())
-            }
             p if !p.starts_with('-') && trace_path.is_none() => {
                 trace_path = Some(p.to_owned());
                 Ok(())
@@ -999,48 +992,11 @@ fn cmd_explore(rest: &[String]) -> i32 {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let strategy = if workers > 1 {
-        SearchStrategy::DporParallel {
-            max_depth: depth,
-            workers,
-        }
-    } else {
-        SearchStrategy::Dpor { max_depth: depth }
-    };
-    let session = session.with_executions(executions).with_strategy(strategy);
-
-    let exploration = if warm {
-        // Warm start: seed the tree walk's snapshot pool from the store a
-        // spilled recording left next to the trace. Seeds whose decision
-        // path diverges from the walk are skipped safely, so this can only
-        // save work, never change the search's outcome.
-        let store_dir = store_dir_for(&path);
-        let store = match SnapshotStore::open(&store_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("dd explore: {e}");
-                return exit::IO;
-            }
-        };
-        let mut seeds = Vec::new();
-        for entry in store.list() {
-            match store.load(entry.id, Box::new(RandomPolicy::new(0))) {
-                Ok(s) => seeds.push(Arc::new(s)),
-                Err(e) => {
-                    eprintln!("dd explore: {e}");
-                    return exit::IO;
-                }
-            }
-        }
-        println!(
-            "warm-start : {} stored snapshots from {}",
-            seeds.len(),
-            store_dir.display()
-        );
-        session.explore_warm(&trace, seeds)
-    } else {
-        session.explore(&trace)
-    };
+    let exploration = session
+        .with_executions(executions)
+        .with_strategy(SearchStrategy::Dpor { max_depth: depth })
+        .with_workers(workers)
+        .explore(&trace);
     println!(
         "target     : {}",
         exploration

@@ -25,12 +25,12 @@ use crate::experiment::{enumerate_root_causes, evaluate_model_on, ModelReport};
 use crate::rcse::{train, DebugModel, RcseConfig, Training};
 use crate::workload::{RunSetup, Workload};
 use dd_replay::{
-    replay_trace, replay_trace_from, search_with_warm, Artifact, DeterminismModel,
-    DivergenceReport, FailureModel, InferenceBudget, ModelKind, MsgOrderModel, OutputHeavyModel,
-    OutputLiteModel, PerfectModel, RaceCompleteModel, Recording, ReplayResult, Scenario,
-    SearchResult, SearchStrategy, ValueModel, RECORDING_CHECKPOINTS,
+    replay_trace, replay_trace_from, search_with, Artifact, DeterminismModel, DivergenceReport,
+    FailureModel, InferenceBudget, ModelKind, MsgOrderModel, OutputHeavyModel, OutputLiteModel,
+    PerfectModel, RaceCompleteModel, Recording, ReplayResult, Scenario, SearchResult,
+    SearchStrategy, ValueModel, RECORDING_CHECKPOINTS,
 };
-use dd_sim::{CheckpointPlan, IoSummary, SnapshotSink, WorldSnapshot};
+use dd_sim::{CheckpointPlan, IoSummary, RunConfig, SnapshotSink, WorldSnapshot};
 use dd_trace::{JsonlError, JsonlTrace, TraceHeader};
 use std::sync::Arc;
 
@@ -92,7 +92,8 @@ impl Session {
         self
     }
 
-    /// Sets the worker pool parallel systematic strategies may use.
+    /// Sets the worker pool every systematic strategy may use (see
+    /// [`InferenceBudget::workers`]).
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.budget.workers = workers;
         self
@@ -270,18 +271,7 @@ impl Session {
     /// state digests and the session's checkpoint plan; neither perturbs
     /// the run, so the trace is byte-identical across invocations.
     pub fn record(&self) -> Result<JsonlTrace, JsonlError> {
-        let p = self.production();
-        let scenario = self.workload.scenario_for(&p);
-        let out = scenario.execute_recorded(&scenario.original_spec(), self.checkpoints, vec![]);
-        let header = TraceHeader::new(
-            self.workload.name(),
-            p.seed,
-            p.sched_seed,
-            p.max_steps,
-            p.inputs,
-            p.env,
-        );
-        JsonlTrace::from_run(header, &out)
+        self.record_into(None).map(|(trace, _)| trace)
     }
 
     /// [`Session::record`] with snapshot retention redirected to a
@@ -298,10 +288,26 @@ impl Session {
         &self,
         sink: Box<dyn SnapshotSink>,
     ) -> Result<(JsonlTrace, Vec<String>), JsonlError> {
+        self.record_into(Some(sink))
+    }
+
+    /// The one recording run behind [`Session::record`] and
+    /// [`Session::record_spilled`], plus the sink's write errors.
+    fn record_into(
+        &self,
+        sink: Option<Box<dyn SnapshotSink>>,
+    ) -> Result<(JsonlTrace, Vec<String>), JsonlError> {
         let p = self.production();
         let scenario = self.workload.scenario_for(&p);
+        let spec = scenario.original_spec();
+        let cfg = RunConfig {
+            checkpoints: Some(self.checkpoints),
+            hash_decisions: true,
+            snapshot_sink: sink,
+            ..scenario.config(&spec)
+        };
         let mut out =
-            scenario.execute_spilled(&scenario.original_spec(), self.checkpoints, sink, vec![]);
+            dd_sim::run_program(scenario.program.as_ref(), cfg, spec.policy.build(), vec![]);
         let spill_errors = std::mem::take(&mut out.spill_errors);
         let header = TraceHeader::new(
             self.workload.name(),
@@ -360,36 +366,22 @@ impl Session {
     /// the trace's inputs and environment, explores the schedule space for
     /// other executions exhibiting the recorded failure (or any failure,
     /// if the recorded run passed). Uses the budget's strategy when it is
-    /// systematic, otherwise DPOR at the default depth.
+    /// systematic, otherwise DPOR at the default depth, on the budget's
+    /// worker count.
     pub fn explore(&self, trace: &JsonlTrace) -> Exploration {
-        self.explore_warm(trace, Vec::new())
-    }
-
-    /// [`Session::explore`] warm-started from previously captured world
-    /// snapshots — typically restored from the trace's on-disk
-    /// [`SnapshotStore`](dd_trace::SnapshotStore), letting a fresh process
-    /// skip re-executing the recorded prefix on the walk's first descents.
-    /// Incompatible seeds are skipped safely, so passing snapshots from an
-    /// unrelated run degrades to a cold [`Session::explore`].
-    pub fn explore_warm(&self, trace: &JsonlTrace, warm: Vec<Arc<WorldSnapshot>>) -> Exploration {
         let scenario = self.scenario_for_trace(&trace.header);
         let target = (scenario.failure_of)(&trace.footer.io).map(|f| f.failure_id);
-        let strategy = match self.budget.strategy {
-            s @ (SearchStrategy::Exhaustive { .. }
-            | SearchStrategy::Dpor { .. }
-            | SearchStrategy::DporParallel { .. }) => s,
-            _ => SearchStrategy::Dpor {
-                max_depth: DEFAULT_EXPLORE_DEPTH,
-            },
-        };
+        let strategy = self
+            .budget
+            .strategy
+            .systematic_or_dpor(DEFAULT_EXPLORE_DEPTH);
         let inputs = scenario.inputs.clone();
         let sought = target.clone();
-        let result = search_with_warm(
+        let result = search_with(
             &scenario,
             &self.budget,
             strategy,
             Some(&inputs),
-            warm,
             |out| match (&sought, (scenario.failure_of)(&out.io)) {
                 (Some(id), Some(f)) => f.failure_id == *id,
                 (None, found) => found.is_some(),

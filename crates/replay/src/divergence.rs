@@ -16,7 +16,7 @@
 //! - a final-digest mismatch with identical streams implicates the last
 //!   decision (the runs agreed at every decision point but drifted after).
 
-use dd_sim::{Observer, RunOutput, StopReason};
+use dd_sim::{Observer, RunConfig, RunOutput, StopReason};
 use dd_trace::JsonlTrace;
 use serde::{Deserialize, Serialize};
 
@@ -71,7 +71,16 @@ pub fn replay_trace_with(
     trace: &JsonlTrace,
     observers: Vec<Box<dyn Observer>>,
 ) -> DivergenceReport {
-    let out = scenario.execute_hashed(spec, observers);
+    let cfg = RunConfig {
+        hash_decisions: true,
+        ..scenario.config(spec)
+    };
+    let out = dd_sim::run_program(
+        scenario.program.as_ref(),
+        cfg,
+        spec.policy.build(),
+        observers,
+    );
     let recorded = trace.hashes();
     let report = compare_streams(
         &recorded,
@@ -108,7 +117,19 @@ pub fn replay_trace_from(
     let spec = scenario.original_spec();
     let consumed = snapshot.at_decision() as usize;
     let policy = dd_sim::ReplayPolicy::resuming_at(trace.schedule_log().decisions, consumed);
-    let out = scenario.resume_hashed(&spec, snapshot, Box::new(policy));
+    // Digests on, no further snapshots: the snapshot carries the recorded
+    // prefix's digests, so `decision_hashes` covers the whole run.
+    let cfg = RunConfig {
+        hash_decisions: true,
+        ..scenario.config(&spec)
+    };
+    let out = dd_sim::resume_program(
+        scenario.program.as_ref(),
+        cfg,
+        snapshot,
+        Some(Box::new(policy)),
+        vec![],
+    );
     let recorded = trace.hashes();
     let report = compare_streams(
         &recorded,

@@ -45,14 +45,19 @@
 //! under tick budgets checkpointed search dominates scratch rather than
 //! mirroring it.
 //!
-//! The walk itself is factored out of run *execution* (see the `RunFetcher`
-//! trait): the single-threaded `walk` owns every piece of cross-run state — the
-//! DFS stack, backtrack sets, budget, statistics, and the snapshot pool —
-//! and charges each consumed run against the pool's canonical resume point,
-//! so swapping the sequential fetcher for the multi-worker one in
-//! [`parallel`](crate::parallel) changes wall-clock time and nothing else.
+//! There is one walk and one way to run a branch. The single-threaded
+//! `walk` owns every piece of cross-run state — the DFS stack, backtrack
+//! sets, budget, statistics, and the snapshot pool — and obtains each
+//! branch's run from `run_branch`, which restores the deepest compatible
+//! snapshot or else runs from scratch. With more than one worker, the
+//! workers in [`parallel`](crate::parallel) call the same `run_branch` on
+//! speculated branches ahead of the walk; a branch no worker has claimed
+//! runs inline. Each consumed run is charged against the walk's canonical
+//! resume point, so the worker count changes wall-clock time and nothing
+//! else.
 
 use crate::explorer::{InferenceBudget, InferenceStats};
+use crate::parallel;
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
 use dd_detect::VectorClock;
 use dd_sim::{
@@ -64,7 +69,7 @@ use std::sync::Arc;
 
 /// The walk's snapshot pool: prefix-compatible [`WorldSnapshot`]s along the
 /// current DFS path, keyed by the decision index they were taken at.
-/// `Arc`-shared so a parallel fetcher can hand the same snapshot to several
+/// `Arc`-shared so the walk can hand the same snapshot to several
 /// worker threads without cloning the world per job. Sharing is two-level:
 /// the pool shares snapshots by handle, and the snapshots themselves share
 /// their sealed history chunks (`dd_sim::ChunkedLog`, `Send + Sync`) with
@@ -93,14 +98,18 @@ pub(crate) struct TreeConfig<'a> {
     /// prefix instead of re-executing from the first instruction. `None`
     /// re-executes every branch from scratch.
     pub checkpoint_every: Option<u64>,
-    /// Snapshots restored from a persistent store that seed the walk's
-    /// pool (warm start): a fresh process re-exploring the same tree binds
-    /// branches to these instead of re-executing the shared prefixes its
-    /// predecessor already paid for. Entries whose decision path diverges
-    /// from a branch's forced prefix are skipped by the compatibility
-    /// check, so stale or foreign snapshots are harmless. Only effective
-    /// with `checkpoint_every` set.
-    pub warm: Vec<Arc<WorldSnapshot>>,
+}
+
+impl TreeConfig<'_> {
+    /// The spec of the run forced to `prefix`.
+    fn spec(&self, prefix: &[u32]) -> RunSpec {
+        RunSpec {
+            seed: self.seed,
+            policy: PolicyChoice::Prefix(prefix.to_vec(), self.tail_seed),
+            inputs: self.inputs.clone(),
+            env: self.env.clone(),
+        }
+    }
 }
 
 /// One decision node on the DFS stack.
@@ -123,50 +132,23 @@ enum Add {
     All,
 }
 
-/// How the tree walk obtains the [`RunOutput`] of one forced-prefix run.
-///
-/// The walk itself — stack, backtrack sets, pruning, budget, statistics,
-/// snapshot pool — is single-threaded and identical for every fetcher; the
-/// fetcher only decides *where* the execution happens. [`SeqRuns`] executes
-/// inline (the classic sequential explorer); the parallel fetcher in
-/// [`parallel`](crate::parallel) farms runs out to worker threads and
-/// consumes their results in the same order. Because a forced-prefix run's
-/// trace is bit-identical however it is produced (the PR-3 snapshot
-/// determinism guarantee), the fetcher is invisible to the search.
-pub(crate) trait RunFetcher {
-    /// Produces the run for `prefix`. `pool` is the walk's canonical
-    /// prefix-compatible snapshot pool (entries at decision `d <
-    /// prefix.len()` may be restored).
-    fn fetch(&mut self, spec: &RunSpec, prefix: &[u32], pool: &SnapshotPool) -> RunOutput;
-
-    /// Offers the walk's current pending branches (forced prefixes that
-    /// will all eventually be consumed, shallowest first) for speculative
-    /// execution. Sequential fetchers ignore this.
-    fn speculate(&mut self, _branches: Vec<Vec<u32>>, _pool: &SnapshotPool) {}
-}
-
 /// The checkpoint plan a tree configuration implies.
 ///
 /// A usable snapshot must sit strictly inside a future forced prefix, and
 /// prefixes never exceed `max_depth` — so the deepest restorable snapshot
 /// is at decision `max_depth - 1`; snapshotting at `max_depth` itself would
 /// be a full-world clone nothing can ever restore.
-pub(crate) fn plan_of(cfg: &TreeConfig<'_>) -> Option<CheckpointPlan> {
+fn plan_of(cfg: &TreeConfig<'_>) -> Option<CheckpointPlan> {
     cfg.checkpoint_every
         .map(|k| CheckpointPlan::new(k, (cfg.max_depth as u64).saturating_sub(1)))
 }
 
 /// The deepest snapshot in `pool` that a run forced to `prefix` may fork
 /// from: strictly inside the prefix, and leading to the run's own path (the
-/// prefix starts with the snapshot's decision path). The pool may hold
-/// entries that are not on the current path — warm-start seeds from a
-/// persistent store, or (for the parallel fetcher's mirror) snapshots from
-/// subtrees the walk has since left — so compatibility is checked
-/// explicitly rather than assumed.
-pub(crate) fn deepest_compatible(
-    pool: &SnapshotPool,
-    prefix: &[u32],
-) -> Option<(u64, Arc<WorldSnapshot>)> {
+/// prefix starts with the snapshot's decision path). A worker's copy of the
+/// pool may hold snapshots from subtrees the walk has since left, so
+/// compatibility is checked explicitly rather than assumed.
+fn deepest_compatible(pool: &SnapshotPool, prefix: &[u32]) -> Option<(u64, Arc<WorldSnapshot>)> {
     pool.range(..prefix.len() as u64)
         .rev()
         .find(|(&d, snap)| {
@@ -176,37 +158,30 @@ pub(crate) fn deepest_compatible(
         .map(|(&d, snap)| (d, Arc::clone(snap)))
 }
 
-/// The sequential fetcher: executes every run inline, restoring the deepest
-/// usable snapshot itself.
-struct SeqRuns<'a> {
-    scenario: &'a Scenario,
-    plan: Option<CheckpointPlan>,
-    tail_seed: u64,
-}
-
-impl RunFetcher for SeqRuns<'_> {
-    fn fetch(&mut self, spec: &RunSpec, prefix: &[u32], pool: &SnapshotPool) -> RunOutput {
-        match self.plan {
-            None => self.scenario.execute(spec, vec![]),
-            Some(plan) => {
-                // Fork instead of replaying from scratch: restore the
-                // deepest compatible snapshot strictly inside the prefix
-                // (the fork decision itself is `prefix.len() - 1`) and
-                // force only the remaining prefix decisions.
-                match deepest_compatible(pool, prefix) {
-                    Some((d, snap)) => {
-                        let forced: Vec<u32> = prefix[d as usize..].to_vec();
-                        self.scenario.resume(
-                            spec,
-                            &snap,
-                            Box::new(PrefixPolicy::new(forced, self.tail_seed)),
-                            plan,
-                        )
-                    }
-                    None => self.scenario.execute_checkpointed(spec, plan, vec![]),
-                }
-            }
+/// Runs the branch forced to `prefix`: forks from the deepest snapshot in
+/// `pool` compatible with the prefix and forces only the remaining prefix
+/// decisions, or runs from the first instruction when there is none (always
+/// so without checkpointing, since then no run reports snapshots). The walk
+/// and every worker run branches through this one function; a forced-prefix
+/// run's trace is bit-identical however it is started.
+pub(crate) fn run_branch(
+    scenario: &Scenario,
+    cfg: &TreeConfig<'_>,
+    pool: &SnapshotPool,
+    prefix: &[u32],
+) -> RunOutput {
+    let spec = cfg.spec(prefix);
+    let run = dd_sim::RunConfig {
+        checkpoints: plan_of(cfg),
+        ..scenario.config(&spec)
+    };
+    let program = scenario.program.as_ref();
+    match deepest_compatible(pool, prefix) {
+        Some((d, snap)) => {
+            let forced = PrefixPolicy::new(prefix[d as usize..].to_vec(), cfg.tail_seed);
+            dd_sim::resume_program(program, run, &snap, Some(Box::new(forced)), vec![])
         }
+        None => dd_sim::run_program(program, run, spec.policy.build(), vec![]),
     }
 }
 
@@ -215,178 +190,147 @@ impl RunFetcher for SeqRuns<'_> {
 /// `true` (returning that run), the tree is exhausted (`None`), or the
 /// budget runs out (`None`). `stats` accumulates across calls so one budget
 /// can span several trees.
-pub(crate) fn explore_tree(
-    scenario: &Scenario,
-    cfg: &TreeConfig<'_>,
-    budget: &InferenceBudget,
-    stats: &mut InferenceStats,
-    visit: &mut dyn FnMut(&RunOutput, &RunSpec) -> bool,
-) -> Option<(RunOutput, RunSpec)> {
-    let mut fetcher = SeqRuns {
-        scenario,
-        plan: plan_of(cfg),
-        tail_seed: cfg.tail_seed,
-    };
-    walk(cfg, budget, stats, visit, &mut fetcher)
-}
-
-/// The deterministic heart of both explorers: the DFS over the schedule
-/// tree, generic over how runs are produced. Everything observable — the
-/// interleavings visited and their order, the backtrack/pruning decisions,
-/// the failure set, and the `InferenceStats` accounting — is computed here,
-/// on one thread, from run outputs that are prefix-deterministic; this is
-/// what makes a parallel fetcher byte-equivalent to the sequential one by
-/// construction.
+///
+/// Everything observable — the interleavings visited and their order, the
+/// backtrack/pruning decisions, the failure set, and the `InferenceStats`
+/// accounting — is computed here, on one thread, from run outputs that are
+/// prefix-deterministic. With `workers > 1`, worker threads run pending
+/// branches ahead of the walk (see [`parallel`](crate::parallel)); with
+/// `workers <= 1` there is no frontier and no thread, and every branch runs
+/// inline.
 ///
 /// Step/tick charges are *canonical*: each consumed run is charged as if it
 /// had been resumed from the deepest snapshot in the walk's own pool,
-/// whether or not the fetcher actually restored that snapshot (a worker may
-/// have forked from a shallower one that existed when the job was queued).
+/// whether or not the run actually restored that snapshot (a worker forks
+/// from the pool as it stood when the worker started the job).
 /// For the same reason, snapshots a run reports below the canonical resume
-/// point are dropped — the pool evolves exactly as the sequential
-/// explorer's would, keeping the accounting worker-count-invariant.
+/// point are dropped — the pool evolves exactly as a one-worker walk's
+/// would, keeping the accounting worker-count-invariant.
 pub(crate) fn walk(
+    scenario: &Scenario,
     cfg: &TreeConfig<'_>,
     budget: &InferenceBudget,
+    workers: u32,
     stats: &mut InferenceStats,
     visit: &mut dyn FnMut(&RunOutput, &RunSpec) -> bool,
-    fetcher: &mut dyn RunFetcher,
 ) -> Option<(RunOutput, RunSpec)> {
-    let mut stack: Vec<Node> = Vec::new();
-    let mut prefix: Vec<u32> = Vec::new();
-    // Snapshots along the *current* DFS path, keyed by decision index. An
-    // entry at `d` captures the world before decision `d`, with decisions
-    // `0..d` equal to `prefix[0..d]`; the backtrack step drops entries past
-    // each fork point, so everything in the pool stays prefix-compatible.
-    let mut pool: SnapshotPool = BTreeMap::new();
-    let checkpointing = cfg.checkpoint_every.is_some();
-    if checkpointing {
-        // Warm start: seed the pool with store-restored snapshots. The
-        // compatibility check at every resume point skips any that are not
-        // on the branch being executed, so seeding is always safe; when a
-        // fresh process re-walks the tree its predecessor explored, these
-        // replace the scratch re-execution of shared prefixes.
-        for s in &cfg.warm {
-            pool.entry(s.at_decision()).or_insert_with(|| Arc::clone(s));
-        }
-    }
-    loop {
-        if stats.explored >= budget.max_executions || stats.ticks >= budget.max_ticks {
-            return None;
-        }
-        let spec = RunSpec {
-            seed: cfg.seed,
-            policy: PolicyChoice::Prefix(prefix.clone(), cfg.tail_seed),
-            inputs: cfg.inputs.clone(),
-            env: cfg.env.clone(),
-        };
-        // The canonical resume point: the deepest pool snapshot strictly
-        // inside the forced prefix. Captured before the fetch so the charge
-        // below reflects this walk's pool, not the fetcher's private choice.
-        let canon: Option<(u64, u64, u64)> = if checkpointing {
-            deepest_compatible(&pool, &prefix).map(|(d, s)| (d, s.steps(), s.time()))
-        } else {
-            None
-        };
-        let mut out = fetcher.fetch(&spec, &prefix, &pool);
-        for s in std::mem::take(&mut out.snapshots) {
-            // Snapshots at or below the canonical resume point would not
-            // exist in a sequential walk (its resumed runs only report
-            // deeper ones); keeping the pools identical keeps the charges
-            // identical.
-            if canon.is_none_or(|(d, _, _)| s.at_decision() > d) {
-                // Unconditional insert: the just-executed run is on the
-                // current path by construction, so its snapshot supersedes
-                // any warm-start seed parked at the same decision (which
-                // may be from a diverged path).
-                pool.insert(s.at_decision(), Arc::new(s));
-            }
-        }
-        let (skip_steps, skip_ticks) = canon.map_or((0, 0), |(_, steps, ticks)| (steps, ticks));
-        debug_assert!(out.stats.steps >= skip_steps && out.stats.exec_ticks >= skip_ticks);
-        stats.explored += 1;
-        stats.ticks += out.stats.exec_ticks.saturating_sub(skip_ticks);
-        stats.steps_executed += out.stats.steps.saturating_sub(skip_steps);
-        stats.steps_skipped += skip_steps;
-
-        // Extend the stack with the decisions this run took past the forced
-        // prefix. The prefix replays deterministically, so decisions the
-        // stack already covers are unchanged.
-        let horizon = out.decisions.len().min(cfg.max_depth);
-        for i in stack.len()..horizon {
-            let enabled = &out.decision_enabled[i];
-            let chosen = out.decisions[i].chosen;
-            let backtrack: BTreeSet<TaskId> = if cfg.dpor {
-                BTreeSet::from([chosen])
-            } else {
-                enabled.iter().map(|(t, _)| *t).collect()
-            };
-            stack.push(Node {
-                candidates: enabled.iter().map(|(t, _)| *t).collect(),
-                chosen_index: out.decisions[i].chosen_index,
-                backtrack,
-                done: BTreeSet::from([chosen]),
-            });
-        }
-        if cfg.dpor {
-            for (i, add) in backtrack_points(&out, cfg.max_depth) {
-                let Some(node) = stack.get_mut(i) else {
-                    continue;
-                };
-                match add {
-                    Add::Task(t) => {
-                        node.backtrack.insert(t);
-                    }
-                    Add::All => {
-                        let all: Vec<TaskId> = node.candidates.clone();
-                        node.backtrack.extend(all);
-                    }
-                }
-            }
-        }
-        if visit(&out, &spec) {
-            stats.found = true;
-            stats.found_at = Some(stats.explored - 1);
-            return Some((out, spec));
-        }
-
-        // Every branch still pending anywhere on the stack will eventually
-        // be consumed (backtrack sets only grow, `done` entries never come
-        // back) and its run depends only on its forced prefix — so a
-        // parallel fetcher may execute all of them ahead of time.
-        let branches = pending_branches(&stack);
-        if !branches.is_empty() {
-            fetcher.speculate(branches, &pool);
-        }
-
-        // Backtrack: pop exhausted nodes (counting their never-explored
-        // siblings as pruned), then branch at the deepest pending node.
+    parallel::with_workers(scenario, cfg, workers, |mut workers| {
+        let mut stack: Vec<Node> = Vec::new();
+        let mut prefix: Vec<u32> = Vec::new();
+        // Snapshots along the *current* DFS path, keyed by decision index.
+        // An entry at `d` captures the world before decision `d`, with
+        // decisions `0..d` equal to `prefix[0..d]`; the backtrack step drops
+        // entries past each fork point, so everything in the pool stays
+        // prefix-compatible.
+        let mut pool: SnapshotPool = BTreeMap::new();
         loop {
-            let Some(top) = stack.last_mut() else {
-                return None; // Tree exhausted.
+            if stats.explored >= budget.max_executions || stats.ticks >= budget.max_ticks {
+                return None;
+            }
+            // The canonical resume point: the deepest pool snapshot strictly
+            // inside the forced prefix. Captured before the run so the charge
+            // below reflects this walk's pool, not a worker's private choice.
+            let canon = deepest_compatible(&pool, &prefix).map(|(d, s)| (d, s.steps(), s.time()));
+            let mut out = match workers.as_mut().and_then(|w| w.take(&prefix, &pool)) {
+                Some(out) => out,
+                None => run_branch(scenario, cfg, &pool, &prefix),
             };
-            match top.backtrack.difference(&top.done).next().copied() {
-                Some(t) => {
-                    top.done.insert(t);
-                    top.chosen_index = top
-                        .candidates
-                        .iter()
-                        .position(|&c| c == t)
-                        .expect("backtrack tasks are always candidates")
-                        as u32;
-                    prefix = stack.iter().map(|n| n.chosen_index).collect();
-                    // Snapshots at or past the fork decision captured the
-                    // abandoned branch; only the shared prefix stays usable.
-                    pool.retain(|&d, _| d < prefix.len() as u64);
-                    break;
+            for s in std::mem::take(&mut out.snapshots) {
+                // Snapshots at or below the canonical resume point would not
+                // exist in a one-worker walk (its resumed runs only report
+                // deeper ones); keeping the pools identical keeps the
+                // charges identical.
+                if canon.is_none_or(|(d, _, _)| s.at_decision() > d) {
+                    pool.insert(s.at_decision(), Arc::new(s));
                 }
-                None => {
-                    stats.pruned += (top.candidates.len() - top.done.len()) as u64;
-                    stack.pop();
+            }
+            let (skip_steps, skip_ticks) = canon.map_or((0, 0), |(_, steps, ticks)| (steps, ticks));
+            debug_assert!(out.stats.steps >= skip_steps && out.stats.exec_ticks >= skip_ticks);
+            stats.explored += 1;
+            stats.ticks += out.stats.exec_ticks.saturating_sub(skip_ticks);
+            stats.steps_executed += out.stats.steps.saturating_sub(skip_steps);
+            stats.steps_skipped += skip_steps;
+
+            // Extend the stack with the decisions this run took past the
+            // forced prefix. The prefix replays deterministically, so
+            // decisions the stack already covers are unchanged.
+            let horizon = out.decisions.len().min(cfg.max_depth);
+            for i in stack.len()..horizon {
+                let enabled = &out.decision_enabled[i];
+                let chosen = out.decisions[i].chosen;
+                let backtrack: BTreeSet<TaskId> = if cfg.dpor {
+                    BTreeSet::from([chosen])
+                } else {
+                    enabled.iter().map(|(t, _)| *t).collect()
+                };
+                stack.push(Node {
+                    candidates: enabled.iter().map(|(t, _)| *t).collect(),
+                    chosen_index: out.decisions[i].chosen_index,
+                    backtrack,
+                    done: BTreeSet::from([chosen]),
+                });
+            }
+            if cfg.dpor {
+                for (i, add) in backtrack_points(&out, cfg.max_depth) {
+                    let Some(node) = stack.get_mut(i) else {
+                        continue;
+                    };
+                    match add {
+                        Add::Task(t) => {
+                            node.backtrack.insert(t);
+                        }
+                        Add::All => {
+                            let all: Vec<TaskId> = node.candidates.clone();
+                            node.backtrack.extend(all);
+                        }
+                    }
+                }
+            }
+            let spec = cfg.spec(&prefix);
+            if visit(&out, &spec) {
+                stats.found = true;
+                stats.found_at = Some(stats.explored - 1);
+                return Some((out, spec));
+            }
+
+            // Every branch still pending anywhere on the stack will
+            // eventually be consumed (backtrack sets only grow, `done`
+            // entries never come back) and its run depends only on its
+            // forced prefix — so workers may run all of them ahead of time.
+            if let Some(w) = workers.as_mut() {
+                w.speculate(pending_branches(&stack), &pool);
+            }
+
+            // Backtrack: pop exhausted nodes (counting their never-explored
+            // siblings as pruned), then branch at the deepest pending node.
+            loop {
+                let Some(top) = stack.last_mut() else {
+                    return None; // Tree exhausted.
+                };
+                match top.backtrack.difference(&top.done).next().copied() {
+                    Some(t) => {
+                        top.done.insert(t);
+                        top.chosen_index = top
+                            .candidates
+                            .iter()
+                            .position(|&c| c == t)
+                            .expect("backtrack tasks are always candidates")
+                            as u32;
+                        prefix = stack.iter().map(|n| n.chosen_index).collect();
+                        // Snapshots at or past the fork decision captured the
+                        // abandoned branch; only the shared prefix stays
+                        // usable.
+                        pool.retain(|&d, _| d < prefix.len() as u64);
+                        break;
+                    }
+                    None => {
+                        stats.pruned += (top.candidates.len() - top.done.len()) as u64;
+                        stack.pop();
+                    }
                 }
             }
         }
-    }
+    })
 }
 
 /// Every branch currently pending on the DFS stack, as the forced prefix

@@ -9,23 +9,20 @@
 //! The search cost is reported as inference time and feeds debugging
 //! efficiency (DE).
 
-use crate::dpor::TreeConfig;
-use crate::parallel::explore_tree_parallel;
+use crate::dpor::{walk, TreeConfig};
 use crate::scenario::{PolicyChoice, RunSpec, Scenario};
-use dd_sim::{RunOutput, WorldSnapshot};
+use dd_sim::RunOutput;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Bounds on inference work, plus the schedule-candidate strategy the
 /// replayer should use inside those bounds.
 ///
-/// Construct with [`InferenceBudget::builder`] or the purpose-named
-/// constructors ([`executions`](Self::executions), [`dpor`](Self::dpor),
-/// [`dpor_parallel`](Self::dpor_parallel)); direct struct-literal assembly
-/// is discouraged because the fields are interdependent (`workers` and
-/// `checkpoint_interval` only apply to some strategies) and literals skip
-/// the builder's validation.
+/// Construct with the purpose-named constructors
+/// ([`executions`](Self::executions), [`dpor`](Self::dpor)) and the
+/// `with_*` setters. The fields are independent: `checkpoint_interval` and
+/// `workers` apply to every systematic strategy and are ignored by the
+/// others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferenceBudget {
     /// Maximum candidate executions to try.
@@ -46,12 +43,12 @@ pub struct InferenceBudget {
     /// tick-bounded checkpointed walk covers at least as many interleavings
     /// as the scratch walk before cutoff (see `dpor` module docs).
     pub checkpoint_interval: u64,
-    /// Worker threads a parallel systematic strategy may use. `1` (the
-    /// default) keeps everything on the calling thread;
-    /// [`SearchStrategy::DporParallel`] with `workers: 0` reads its pool
-    /// size from here, so callers can scale inference without touching the
-    /// strategy. The worker count never changes what the search returns —
-    /// only how fast (see the `parallel` module's determinism contract).
+    /// Worker threads the systematic strategies may use. A systematic walk
+    /// runs on `max(1, workers, the strategy's explicit count)` workers
+    /// (only [`SearchStrategy::DporParallel`] carries one); `1`, the
+    /// default, keeps everything on the calling thread. The worker count
+    /// never changes what the search returns — only how fast (see the
+    /// `parallel` module's determinism contract).
     pub workers: u32,
 }
 
@@ -68,17 +65,6 @@ impl Default for InferenceBudget {
 }
 
 impl InferenceBudget {
-    /// Starts a validated [`InferenceBudgetBuilder`]. Prefer this (or the
-    /// purpose-named constructors below) over assembling the struct field
-    /// by field: the builder rejects incoherent combinations — e.g. a
-    /// worker pool without a parallel strategy — at `build()` time instead
-    /// of silently ignoring fields at search time.
-    pub fn builder() -> InferenceBudgetBuilder {
-        InferenceBudgetBuilder {
-            budget: Self::default(),
-        }
-    }
-
     /// A budget bounded only by execution count.
     pub fn executions(n: u64) -> Self {
         InferenceBudget {
@@ -110,27 +96,11 @@ impl InferenceBudget {
         self
     }
 
-    /// Sets the worker-thread pool size parallel systematic strategies may
-    /// use (`0` and `1` both mean sequential).
+    /// Sets the worker-thread pool size the systematic strategies may use
+    /// (`0` and `1` both mean one worker: the walk runs every branch inline).
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.workers = workers;
         self
-    }
-
-    /// A budget of `n` executions searching with parallel DPOR at branching
-    /// depth `max_depth` over `workers` worker threads, with checkpointing
-    /// on (parallel exploration forks subtrees from pooled snapshots).
-    pub fn dpor_parallel(n: u64, max_depth: u32, workers: u32) -> Self {
-        InferenceBudget {
-            max_executions: n,
-            ..Self::default()
-        }
-        .with_strategy(SearchStrategy::DporParallel {
-            max_depth,
-            workers: 0,
-        })
-        .with_checkpoints(Self::DEFAULT_CHECKPOINT_INTERVAL)
-        .with_workers(workers)
     }
 
     /// The default snapshot interval for callers that just want
@@ -143,152 +113,15 @@ impl InferenceBudget {
     /// The host-sized worker pool for callers that just want parallel
     /// exploration on (e.g. the RCSE replay-divergence fallback):
     /// `min(available cores, DEFAULT_WORKERS)`. Resolves to `1` — the
-    /// sequential path — on single-core hosts, where speculating workers
-    /// could only steal cycles from the coordinator. Explicit
-    /// [`SearchStrategy::DporParallel`] counts are honored as-is; the
-    /// determinism contract makes either choice return identical results.
+    /// one-worker path — on single-core hosts, where speculating workers
+    /// could only steal cycles from the walk. Explicit worker counts are
+    /// honored as-is; the determinism contract makes either choice return
+    /// identical results.
     pub fn default_worker_pool() -> u32 {
         std::thread::available_parallelism()
             .map(|n| n.get() as u32)
             .unwrap_or(1)
             .min(Self::DEFAULT_WORKERS)
-    }
-}
-
-/// A rejected [`InferenceBudgetBuilder`] combination, explaining which
-/// fields conflict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetError(String);
-
-impl core::fmt::Display for BudgetError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "invalid inference budget: {}", self.0)
-    }
-}
-
-impl std::error::Error for BudgetError {}
-
-/// Typed, validated construction of an [`InferenceBudget`].
-///
-/// The budget's fields have grown interdependent: `workers` is only
-/// consumed by [`SearchStrategy::DporParallel`], `checkpoint_interval`
-/// only by the systematic strategies, and a parallel strategy with an
-/// explicit worker count overrides the budget's pool. The builder makes
-/// those couplings explicit and turns silent field-ignoring into
-/// [`BudgetError`]s:
-///
-/// ```
-/// use dd_replay::{InferenceBudget, SearchStrategy};
-///
-/// let budget = InferenceBudget::builder()
-///     .max_executions(500)
-///     .strategy(SearchStrategy::Dpor { max_depth: 8 })
-///     .checkpoint_interval(2)
-///     .build()
-///     .unwrap();
-/// assert_eq!(budget.max_executions, 500);
-///
-/// // A worker pool without a parallel strategy is rejected, not ignored.
-/// assert!(InferenceBudget::builder().workers(4).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct InferenceBudgetBuilder {
-    budget: InferenceBudget,
-}
-
-impl InferenceBudgetBuilder {
-    /// Maximum candidate executions to try (must stay above zero).
-    pub fn max_executions(mut self, n: u64) -> Self {
-        self.budget.max_executions = n;
-        self
-    }
-
-    /// Maximum total execution ticks to spend (must stay above zero).
-    pub fn max_ticks(mut self, ticks: u64) -> Self {
-        self.budget.max_ticks = ticks;
-        self
-    }
-
-    /// How schedule candidates are generated.
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.budget.strategy = strategy;
-        self
-    }
-
-    /// Snapshot interval for the systematic strategies (`0` = from-scratch
-    /// exploration). Rejected at `build()` for non-systematic strategies,
-    /// which would silently ignore it.
-    pub fn checkpoint_interval(mut self, interval: u64) -> Self {
-        self.budget.checkpoint_interval = interval;
-        self
-    }
-
-    /// Worker-thread pool for [`SearchStrategy::DporParallel`] (`1` = the
-    /// sequential path). Rejected at `build()` for every other strategy.
-    pub fn workers(mut self, workers: u32) -> Self {
-        self.budget.workers = workers;
-        self
-    }
-
-    /// Validates the combination and produces the budget.
-    pub fn build(self) -> Result<InferenceBudget, BudgetError> {
-        let b = self.budget;
-        if b.max_executions == 0 {
-            return Err(BudgetError(
-                "max_executions is 0 — the search could never run a candidate".into(),
-            ));
-        }
-        if b.max_ticks == 0 {
-            return Err(BudgetError(
-                "max_ticks is 0 — the search could never run a candidate".into(),
-            ));
-        }
-        let systematic = matches!(
-            b.strategy,
-            SearchStrategy::Exhaustive { .. }
-                | SearchStrategy::Dpor { .. }
-                | SearchStrategy::DporParallel { .. }
-        );
-        if b.checkpoint_interval > 0 && !systematic {
-            return Err(BudgetError(format!(
-                "checkpoint_interval {} is only honored by the systematic \
-                 strategies (Exhaustive/Dpor/DporParallel), not {:?}",
-                b.checkpoint_interval, b.strategy
-            )));
-        }
-        match b.strategy {
-            SearchStrategy::Exhaustive { max_depth }
-            | SearchStrategy::Dpor { max_depth }
-            | SearchStrategy::DporParallel { max_depth, .. }
-                if max_depth == 0 =>
-            {
-                return Err(BudgetError(
-                    "systematic strategy with max_depth 0 explores nothing".into(),
-                ));
-            }
-            _ => {}
-        }
-        if b.workers > 1 {
-            match b.strategy {
-                SearchStrategy::DporParallel { workers: 0, .. } => {}
-                SearchStrategy::DporParallel { workers, .. } => {
-                    return Err(BudgetError(format!(
-                        "budget workers {} conflicts with the strategy's explicit \
-                         worker count {} (use workers: 0 in the strategy to defer \
-                         to the budget)",
-                        b.workers, workers
-                    )));
-                }
-                _ => {
-                    return Err(BudgetError(format!(
-                        "workers {} has no effect under {:?} — only \
-                         SearchStrategy::DporParallel consumes the budget's pool",
-                        b.workers, b.strategy
-                    )));
-                }
-            }
-        }
-        Ok(b)
     }
 }
 
@@ -394,40 +227,44 @@ pub enum SearchStrategy {
         /// Branching-depth bound.
         max_depth: u32,
     },
-    /// `Dpor`, with run execution spread over a pool of worker threads: a
-    /// coordinator walks the identical DPOR-reduced tree while workers
-    /// speculatively execute pending branches from pooled kernel
-    /// snapshots (see the `parallel` module). The failure set, walk order,
-    /// per-interleaving traces and every statistic are byte-identical to
-    /// `Dpor` at the same depth and checkpoint interval, for any worker
-    /// count — parallelism buys wall-clock time only.
+    /// `Dpor` with an explicit worker count. It resolves through the same
+    /// worker rule as every systematic strategy, so it is equivalent to
+    /// `Dpor` under [`InferenceBudget::with_workers`]: the failure set, walk
+    /// order, per-interleaving traces and every statistic are
+    /// byte-identical to `Dpor` at the same depth and checkpoint interval,
+    /// for any worker count — parallelism buys wall-clock time only.
     DporParallel {
         /// Branching-depth bound.
         max_depth: u32,
-        /// Worker threads (`0` defers to [`InferenceBudget::workers`];
-        /// `1` runs sequentially).
+        /// Worker threads (`0` defers to [`InferenceBudget::workers`]).
         workers: u32,
     },
 }
 
 impl SearchStrategy {
     /// For the systematic strategies: the branching-depth bound, whether
-    /// DPOR pruning is on, and the worker-pool size after resolving a
-    /// deferred (`0`) count against the budget. `None` for the
-    /// non-systematic strategies.
+    /// DPOR pruning is on, and the worker count — `max(1, budget.workers,
+    /// the strategy's explicit count)`. `None` for the non-systematic
+    /// strategies.
     fn systematic(&self, budget: &InferenceBudget) -> Option<(u32, bool, u32)> {
-        match *self {
-            SearchStrategy::Exhaustive { max_depth } => Some((max_depth, false, 1)),
-            SearchStrategy::Dpor { max_depth } => Some((max_depth, true, 1)),
-            SearchStrategy::DporParallel { max_depth, workers } => {
-                let workers = if workers == 0 {
-                    budget.workers
-                } else {
-                    workers
-                };
-                Some((max_depth, true, workers.max(1)))
+        let (max_depth, dpor, explicit) = match *self {
+            SearchStrategy::Exhaustive { max_depth } => (max_depth, false, 0),
+            SearchStrategy::Dpor { max_depth } => (max_depth, true, 0),
+            SearchStrategy::DporParallel { max_depth, workers } => (max_depth, true, workers),
+            SearchStrategy::Random | SearchStrategy::Pct { .. } => return None,
+        };
+        Some((max_depth, dpor, explicit.max(budget.workers).max(1)))
+    }
+
+    /// This strategy if it is systematic, else [`SearchStrategy::Dpor`] at
+    /// `max_depth` — for callers that need a schedule-tree walk whatever
+    /// the budget selects.
+    pub fn systematic_or_dpor(self, max_depth: u32) -> Self {
+        match self {
+            SearchStrategy::Random | SearchStrategy::Pct { .. } => {
+                SearchStrategy::Dpor { max_depth }
             }
-            SearchStrategy::Random | SearchStrategy::Pct { .. } => None,
+            systematic => systematic,
         }
     }
 }
@@ -457,29 +294,6 @@ pub fn search_with(
     budget: &InferenceBudget,
     strategy: SearchStrategy,
     fixed_inputs: Option<&dd_sim::InputScript>,
-    accept: impl Fn(&RunOutput) -> bool,
-) -> SearchResult {
-    search_with_warm(scenario, budget, strategy, fixed_inputs, Vec::new(), accept)
-}
-
-/// [`search_with`] additionally seeding systematic tree walks with
-/// previously captured world snapshots (warm start).
-///
-/// The seeds typically come from a persistent
-/// [`SnapshotStore`](dd_trace::SnapshotStore) written by a recorded run in
-/// another process: the walk's first descents fork from the deepest
-/// compatible seed instead of re-executing the shared prefix from scratch.
-/// Seeds whose decision path diverges from the walk's current prefix are
-/// skipped (compatibility is always checked explicitly), so stale or
-/// foreign snapshots degrade to a cold start rather than corrupting the
-/// search. Non-systematic strategies and walks without checkpointing ignore
-/// the seeds entirely.
-pub fn search_with_warm(
-    scenario: &Scenario,
-    budget: &InferenceBudget,
-    strategy: SearchStrategy,
-    fixed_inputs: Option<&dd_sim::InputScript>,
-    warm: Vec<Arc<WorldSnapshot>>,
     accept: impl Fn(&RunOutput) -> bool,
 ) -> SearchResult {
     let space = &scenario.space;
@@ -530,9 +344,8 @@ pub fn search_with_warm(
                         max_depth: max_depth as usize,
                         checkpoint_every: (budget.checkpoint_interval > 0)
                             .then_some(budget.checkpoint_interval),
-                        warm: warm.clone(),
                     };
-                    if let Some((out, spec)) = explore_tree_parallel(
+                    if let Some((out, spec)) = walk(
                         scenario,
                         &cfg,
                         budget,
@@ -637,9 +450,8 @@ pub fn enumerate_failures(
                 max_depth: max_depth as usize,
                 checkpoint_every: (budget.checkpoint_interval > 0)
                     .then_some(budget.checkpoint_interval),
-                warm: Vec::new(),
             };
-            explore_tree_parallel(
+            walk(
                 scenario,
                 &cfg,
                 budget,
@@ -782,70 +594,37 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_default() {
-        let built = InferenceBudget::builder().build().unwrap();
-        assert_eq!(built, InferenceBudget::default());
+    fn every_systematic_strategy_takes_the_largest_worker_count() {
+        let workers = |strategy: SearchStrategy, budget_workers: u32| {
+            strategy
+                .systematic(&InferenceBudget::default().with_workers(budget_workers))
+                .map(|(_, _, w)| w)
+        };
+        let dpor = SearchStrategy::Dpor { max_depth: 4 };
+        let exhaustive = SearchStrategy::Exhaustive { max_depth: 4 };
+        let explicit = |workers| SearchStrategy::DporParallel {
+            max_depth: 4,
+            workers,
+        };
+        assert_eq!(workers(dpor, 0), Some(1));
+        assert_eq!(workers(dpor, 3), Some(3));
+        assert_eq!(workers(exhaustive, 3), Some(3));
+        assert_eq!(workers(explicit(0), 3), Some(3));
+        assert_eq!(workers(explicit(5), 2), Some(5));
+        assert_eq!(workers(explicit(2), 5), Some(5));
+        assert_eq!(workers(SearchStrategy::Random, 3), None);
     }
 
     #[test]
-    fn builder_matches_named_constructors() {
-        let built = InferenceBudget::builder()
-            .max_executions(64)
-            .strategy(SearchStrategy::Dpor { max_depth: 6 })
-            .build()
-            .unwrap();
-        assert_eq!(built, InferenceBudget::dpor(64, 6));
-
-        let built = InferenceBudget::builder()
-            .max_executions(64)
-            .strategy(SearchStrategy::DporParallel {
-                max_depth: 6,
-                workers: 0,
-            })
-            .checkpoint_interval(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL)
-            .workers(4)
-            .build()
-            .unwrap();
-        assert_eq!(built, InferenceBudget::dpor_parallel(64, 6, 4));
-    }
-
-    #[test]
-    fn builder_rejects_incoherent_combinations() {
-        // Zero bounds could never execute a candidate.
-        assert!(InferenceBudget::builder()
-            .max_executions(0)
-            .build()
-            .is_err());
-        assert!(InferenceBudget::builder().max_ticks(0).build().is_err());
-
-        // Worker pools are only consumed by DporParallel.
-        assert!(InferenceBudget::builder().workers(4).build().is_err());
-        assert!(InferenceBudget::builder()
-            .strategy(SearchStrategy::Dpor { max_depth: 4 })
-            .workers(4)
-            .build()
-            .is_err());
-
-        // An explicit strategy worker count conflicts with a budget pool.
-        assert!(InferenceBudget::builder()
-            .strategy(SearchStrategy::DporParallel {
-                max_depth: 4,
-                workers: 2,
-            })
-            .workers(4)
-            .build()
-            .is_err());
-
-        // Checkpointing is a systematic-strategy facility.
-        assert!(InferenceBudget::builder()
-            .checkpoint_interval(1)
-            .build()
-            .is_err());
-
-        // A depth-0 systematic walk explores nothing.
-        assert!(InferenceBudget::builder()
-            .strategy(SearchStrategy::Exhaustive { max_depth: 0 })
-            .build()
-            .is_err());
+    fn non_systematic_strategies_fall_back_to_dpor() {
+        let dpor = SearchStrategy::Dpor { max_depth: 8 };
+        assert_eq!(SearchStrategy::Random.systematic_or_dpor(8), dpor);
+        let pct = SearchStrategy::Pct {
+            expected_len: 100,
+            depth: 3,
+        };
+        assert_eq!(pct.systematic_or_dpor(8), dpor);
+        let exhaustive = SearchStrategy::Exhaustive { max_depth: 2 };
+        assert_eq!(exhaustive.systematic_or_dpor(8), exhaustive);
     }
 }

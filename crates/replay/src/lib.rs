@@ -18,10 +18,10 @@
 //!
 //! Inference is explicit bounded [`search`] over a scenario's
 //! [`NondetSpace`] — the substitution for symbolic execution documented in
-//! DESIGN.md. Its cost is measured and feeds debugging efficiency. The
-//! systematic strategies can run multi-worker
-//! ([`SearchStrategy::DporParallel`], see [`parallel`]) with byte-identical
-//! results for any worker count.
+//! DESIGN.md. Its cost is measured and feeds debugging efficiency. Every
+//! systematic strategy is one schedule-tree walk ([`dpor`]) that runs on
+//! `max(1, budget.workers, the strategy's explicit count)` workers (see
+//! [`parallel`]), with byte-identical results for any worker count.
 
 pub mod divergence;
 pub mod dpor;
@@ -37,8 +37,8 @@ pub use divergence::{
     DivergenceReport,
 };
 pub use explorer::{
-    enumerate_failures, search, search_with, search_with_warm, BudgetError, InferenceBudget,
-    InferenceBudgetBuilder, InferenceStats, SearchResult, SearchStrategy,
+    enumerate_failures, search, search_with, InferenceBudget, InferenceStats, SearchResult,
+    SearchStrategy,
 };
 pub use guided::{
     pinned_completion_digest, racing_outcomes, FeedHandle, GuidedHandle, GuidedOrderPolicy,

@@ -7,7 +7,7 @@
 //! determinism, and by bounded search (standing in for symbolic inference)
 //! for the ultra-relaxed models.
 
-use crate::explorer::{search, search_with, InferenceBudget, InferenceStats, SearchStrategy};
+use crate::explorer::{search, search_with, InferenceBudget, InferenceStats};
 use crate::guided::{
     pinned_completion_digest, racing_outcomes, GuidedOrderPolicy, OrderCostObserver, OrderEntry,
     OrderLog, OrderRecorder, OutcomeFeed, PinSet,
@@ -15,7 +15,9 @@ use crate::guided::{
 use crate::recordings::{costs, Artifact, CrewObserver, ModelKind, OriginalRun, Recording};
 use crate::scenario::{NondetSpace, PolicyChoice, RunSpec, Scenario};
 use dd_detect::HbRaceDetector;
-use dd_sim::{EnvConfig, InputScript, IoSummary, Observer, RunOutput, StopReason};
+use dd_sim::{
+    EnvConfig, InputScript, IoSummary, NondetOverride, Observer, RunConfig, RunOutput, StopReason,
+};
 use dd_trace::{
     FailureSnapshot, InputRecorder, LogStats, OutputRecorder, ScheduleRecorder, Trace,
     ValueRecorder,
@@ -78,6 +80,16 @@ fn same_failure(original: &Option<FailureSnapshot>, replayed: &Option<FailureSna
         (None, None) => true,
         _ => false,
     }
+}
+
+/// Runs `spec` with recorded task-local nondeterminism fed back through
+/// `feed` (value replay, racing-outcome re-delivery).
+fn run_fed(scenario: &Scenario, spec: &RunSpec, feed: Box<dyn NondetOverride>) -> RunOutput {
+    let cfg = RunConfig {
+        nondet_override: Some(feed),
+        ..scenario.config(spec)
+    };
+    dd_sim::run_program(scenario.program.as_ref(), cfg, spec.policy.build(), vec![])
 }
 
 fn original_run(scenario: &Scenario, out: &RunOutput) -> OriginalRun {
@@ -148,9 +160,15 @@ impl DeterminismModel for PerfectModel {
         // records where resumable replay starting points exist (the
         // availability-guarantee idea: replay need not start from the first
         // instruction). Snapshot collection never perturbs the trace.
-        let mut out = scenario.execute_checkpointed(
-            &scenario.original_spec(),
-            RECORDING_CHECKPOINTS,
+        let spec = scenario.original_spec();
+        let cfg = RunConfig {
+            checkpoints: Some(RECORDING_CHECKPOINTS),
+            ..scenario.config(&spec)
+        };
+        let mut out = dd_sim::run_program(
+            scenario.program.as_ref(),
+            cfg,
+            spec.policy.build(),
             observers,
         );
         let snapshots = std::mem::take(&mut out.snapshots);
@@ -269,7 +287,7 @@ impl DeterminismModel for ValueModel {
             inputs: InputScript::new(),
             env: EnvConfig::clean(),
         };
-        let out = scenario.execute_with_override(&spec, vec![], Some(Box::new(cursor)));
+        let out = run_fed(scenario, &spec, Box::new(cursor));
         let divergences = stats.divergences();
         replay_result_from_run(
             scenario,
@@ -424,7 +442,12 @@ fn record_grants(
         pin,
         Arc::clone(&grants),
     ));
-    let out = scenario.execute_with_policy(&spec, policy, observers);
+    let out = dd_sim::run_program(
+        scenario.program.as_ref(),
+        scenario.config(&spec),
+        policy,
+        observers,
+    );
     let entries = std::mem::take(&mut *grants.lock());
     (out, entries)
 }
@@ -448,7 +471,12 @@ fn replay_guided(
         inputs: inputs.to_script(),
         env: env.clone(),
     };
-    let out = scenario.execute_with_policy(&spec, Box::new(policy), vec![]);
+    let out = dd_sim::run_program(
+        scenario.program.as_ref(),
+        scenario.config(&spec),
+        Box::new(policy),
+        vec![],
+    );
     let clean = !matches!(out.stop, StopReason::ReplayDivergence { .. }) && handle.fully_consumed();
     (out, clean)
 }
@@ -645,12 +673,7 @@ impl DeterminismModel for RaceCompleteModel {
 
         // Fallback: DPOR prefix search over the recorded configuration,
         // constrained by the pinned completion order and racing outcomes.
-        let strategy = match budget.strategy {
-            s @ (SearchStrategy::Exhaustive { .. }
-            | SearchStrategy::Dpor { .. }
-            | SearchStrategy::DporParallel { .. }) => s,
-            _ => SearchStrategy::Dpor { max_depth: 8 },
-        };
+        let strategy = budget.strategy.systematic_or_dpor(8);
         let constrained = Scenario {
             space: NondetSpace {
                 seeds: vec![*seed],
@@ -692,7 +715,7 @@ impl DeterminismModel for RaceCompleteModel {
             inputs: inputs.to_script(),
             env: env.clone(),
         };
-        let fed = scenario.execute_with_override(&spec, vec![], Some(Box::new(feed)));
+        let fed = run_fed(scenario, &spec, Box::new(feed));
         stats.charge_run(&fed);
         let satisfied = handle.fully_consumed();
         stats.found = satisfied;

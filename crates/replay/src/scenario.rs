@@ -8,8 +8,7 @@
 //! once, to produce the original run.
 
 use dd_sim::{
-    EnvConfig, InputScript, IoSummary, NondetOverride, Observer, Program, RunConfig, RunOutput,
-    SchedulePolicy,
+    EnvConfig, InputScript, IoSummary, Observer, Program, RunConfig, RunOutput, SchedulePolicy,
 };
 use dd_trace::{FailureSnapshot, ScheduleLog};
 use std::sync::Arc;
@@ -84,178 +83,31 @@ impl Scenario {
         }
     }
 
+    /// The kernel configuration of one run of `spec` against this scenario:
+    /// its seed, inputs and environment under the scenario's step bound,
+    /// with every optional facility (checkpoints, decision digests, snapshot
+    /// sink, nondeterminism override) off. Callers switch on the one they
+    /// need and hand the config to [`dd_sim::run_program`] or
+    /// [`dd_sim::resume_program`]; none of the facilities perturbs the run,
+    /// so its trace stays bit-identical to [`Scenario::execute`].
+    pub fn config(&self, spec: &RunSpec) -> RunConfig {
+        RunConfig {
+            seed: spec.seed,
+            max_steps: self.max_steps,
+            inputs: spec.inputs.clone(),
+            env: spec.env.clone(),
+            ..RunConfig::default()
+        }
+    }
+
     /// Runs a spec against this scenario's program.
     pub fn execute(&self, spec: &RunSpec, observers: Vec<Box<dyn Observer>>) -> RunOutput {
-        self.execute_with_override(spec, observers, None)
-    }
-
-    /// Runs a spec with per-decision state digests enabled (see
-    /// [`dd_sim::RunConfig::hash_decisions`]). The run itself is
-    /// bit-identical to [`Scenario::execute`]; the output additionally
-    /// carries `decision_hashes` and `final_state_hash` for divergence
-    /// localisation.
-    pub fn execute_hashed(&self, spec: &RunSpec, observers: Vec<Box<dyn Observer>>) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            hash_decisions: true,
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
-    }
-
-    /// Runs a spec collecting resumable world snapshots per `plan`
-    /// (see [`dd_sim::CheckpointPlan`]). Snapshot collection does not
-    /// perturb the run: the trace is bit-identical to [`Scenario::execute`].
-    pub fn execute_checkpointed(
-        &self,
-        spec: &RunSpec,
-        plan: dd_sim::CheckpointPlan,
-        observers: Vec<Box<dyn Observer>>,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            checkpoints: Some(plan),
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
-    }
-
-    /// Runs a spec with both snapshot collection (per `plan`) and
-    /// per-decision state digests enabled — the configuration `dd record`
-    /// uses to produce a replayable JSONL trace artifact. Neither facility
-    /// perturbs the run: the trace is bit-identical to [`Scenario::execute`].
-    pub fn execute_recorded(
-        &self,
-        spec: &RunSpec,
-        plan: dd_sim::CheckpointPlan,
-        observers: Vec<Box<dyn Observer>>,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            checkpoints: Some(plan),
-            hash_decisions: true,
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
-    }
-
-    /// [`Scenario::execute_recorded`] with snapshot retention redirected to
-    /// a persistent [`dd_sim::SnapshotSink`]: each checkpoint the plan fires
-    /// is offered to the sink (typically a `dd-trace` `SnapshotStore`
-    /// spilling to disk) instead of accumulating in memory. The run is still
-    /// bit-identical to [`Scenario::execute`]; the output's `spilled` marks
-    /// identify the snapshots the sink accepted and `snapshots` stays empty.
-    pub fn execute_spilled(
-        &self,
-        spec: &RunSpec,
-        plan: dd_sim::CheckpointPlan,
-        sink: Box<dyn dd_sim::SnapshotSink>,
-        observers: Vec<Box<dyn Observer>>,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            checkpoints: Some(plan),
-            hash_decisions: true,
-            snapshot_sink: Some(sink),
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
-    }
-
-    /// Resumes this scenario's program from a snapshot under `policy`,
-    /// continuing to collect deeper snapshots per `plan`. `spec` must carry
-    /// the same seed/inputs/environment as the run the snapshot came from.
-    pub fn resume(
-        &self,
-        spec: &RunSpec,
-        snapshot: &dd_sim::WorldSnapshot,
-        policy: Box<dyn SchedulePolicy>,
-        plan: dd_sim::CheckpointPlan,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            checkpoints: Some(plan),
-            ..RunConfig::default()
-        };
-        dd_sim::resume_program(self.program.as_ref(), cfg, snapshot, Some(policy), vec![])
-    }
-
-    /// Resumes this scenario's program from a snapshot under `policy`,
-    /// with per-decision state digests enabled and no further snapshot
-    /// collection — the configuration `dd replay --from` uses to
-    /// fast-forward from a stored checkpoint while still localising
-    /// divergence. The snapshot carries the digest prefix of the recorded
-    /// run, so the output's `decision_hashes` covers the *whole* run:
-    /// restored prefix plus re-executed tail.
-    pub fn resume_hashed(
-        &self,
-        spec: &RunSpec,
-        snapshot: &dd_sim::WorldSnapshot,
-        policy: Box<dyn SchedulePolicy>,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            hash_decisions: true,
-            ..RunConfig::default()
-        };
-        dd_sim::resume_program(self.program.as_ref(), cfg, snapshot, Some(policy), vec![])
-    }
-
-    /// Runs a spec under an explicitly constructed policy instance,
-    /// ignoring `spec.policy`. This is how the order-guided models attach
-    /// stateful policies ([`crate::guided::OrderRecorder`],
-    /// [`crate::guided::GuidedOrderPolicy`]) that [`PolicyChoice`] cannot
-    /// describe.
-    pub fn execute_with_policy(
-        &self,
-        spec: &RunSpec,
-        policy: Box<dyn SchedulePolicy>,
-        observers: Vec<Box<dyn Observer>>,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, policy, observers)
-    }
-
-    /// Runs a spec with an optional nondeterminism override (value replay).
-    pub fn execute_with_override(
-        &self,
-        spec: &RunSpec,
-        observers: Vec<Box<dyn Observer>>,
-        nondet_override: Option<Box<dyn NondetOverride>>,
-    ) -> RunOutput {
-        let cfg = RunConfig {
-            seed: spec.seed,
-            max_steps: self.max_steps,
-            inputs: spec.inputs.clone(),
-            env: spec.env.clone(),
-            nondet_override,
-            ..RunConfig::default()
-        };
-        dd_sim::run_program(self.program.as_ref(), cfg, spec.policy.build(), observers)
+        dd_sim::run_program(
+            self.program.as_ref(),
+            self.config(spec),
+            spec.policy.build(),
+            observers,
+        )
     }
 }
 

@@ -113,11 +113,10 @@ fn search_results_are_deterministic() {
 fn tick_budget_bounds_the_search() {
     let s = scenario();
     // A tick budget smaller than one run: at most one candidate executes.
-    let budget = InferenceBudget::builder()
-        .max_executions(100)
-        .max_ticks(10)
-        .build()
-        .expect("valid budget");
+    let budget = InferenceBudget {
+        max_ticks: 10,
+        ..InferenceBudget::executions(100)
+    };
     let r = search_with(&s, &budget, SearchStrategy::Random, None, |_| false);
     assert!(r.stats.explored <= 2, "tick budget ignored: {:?}", r.stats);
 }
@@ -383,19 +382,17 @@ fn parallel_search_finds_the_same_run_as_sequential() {
     assert_eq!(par_run.decisions, seq_run.decisions);
 }
 
-/// `DporParallel { workers: 0 }` defers to `InferenceBudget::workers`, and
-/// the budget-level constructor wires depth, checkpointing and the pool
-/// size together.
+/// One worker rule for every systematic strategy: `max(1, budget.workers,
+/// the strategy's explicit count)`. `Dpor` on a 3-worker budget,
+/// `DporParallel { workers: 0 }` deferring to that budget, and
+/// `DporParallel { workers: 3 }` on a 1-worker budget all walk the same
+/// tree as the one-worker walk.
 #[test]
 fn deferred_worker_count_reads_the_budget() {
     let s = scenario();
-    let budget = InferenceBudget::dpor_parallel(80, 24, 3);
-    assert_eq!(budget.workers, 3);
-    assert_eq!(
-        budget.checkpoint_interval,
-        InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL
-    );
-    let par = search_with(&s, &budget, budget.strategy, None, lost_updates);
+    let budget = InferenceBudget::executions(80)
+        .with_checkpoints(InferenceBudget::DEFAULT_CHECKPOINT_INTERVAL);
+    let pooled = budget.with_workers(3);
     let seq = search_with(
         &s,
         &budget,
@@ -403,5 +400,30 @@ fn deferred_worker_count_reads_the_budget() {
         None,
         lost_updates,
     );
-    assert_eq!(par.stats, seq.stats);
+    for (label, budget, strategy) in [
+        (
+            "Dpor on 3 budget workers",
+            pooled,
+            SearchStrategy::Dpor { max_depth: 24 },
+        ),
+        (
+            "DporParallel deferring to 3 budget workers",
+            pooled,
+            SearchStrategy::DporParallel {
+                max_depth: 24,
+                workers: 0,
+            },
+        ),
+        (
+            "DporParallel with 3 explicit workers",
+            budget,
+            SearchStrategy::DporParallel {
+                max_depth: 24,
+                workers: 3,
+            },
+        ),
+    ] {
+        let par = search_with(&s, &budget, strategy, None, lost_updates);
+        assert_eq!(par.stats, seq.stats, "{label}");
+    }
 }

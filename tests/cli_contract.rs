@@ -151,6 +151,38 @@ fn usage_errors_exit_three() {
     );
 }
 
+/// `dd explore --workers` goes through `Session::with_workers`, and the
+/// worker count never changes what the search returns: two workers print
+/// the same `search :` and `found :` lines as one.
+#[test]
+fn explore_prints_the_same_search_on_any_worker_count() {
+    let trace = scratch("explore.jsonl");
+    record_msgserver(&trace);
+    let search_lines = |workers: &str| -> Vec<String> {
+        let out = dd(&[
+            "explore",
+            trace.to_str().unwrap(),
+            "--executions",
+            "64",
+            "--workers",
+            workers,
+        ]);
+        assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+        stdout(&out)
+            .lines()
+            .filter(|l| l.starts_with("search ") || l.starts_with("found "))
+            .map(str::to_owned)
+            .collect()
+    };
+    let one = search_lines("1");
+    assert_eq!(one.len(), 2, "one search and one found line: {one:?}");
+    assert_eq!(search_lines("2"), one);
+
+    // The retired warm-start flag is an unexpected argument like any other.
+    let out = dd(&["explore", trace.to_str().unwrap(), concat!("--", "warm")]);
+    assert_eq!(code(&out), 3, "stderr: {}", stderr(&out));
+}
+
 #[test]
 fn missing_or_garbage_trace_exits_four() {
     let out = dd(&["replay", "/definitely/not/a/trace.jsonl"]);

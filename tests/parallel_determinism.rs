@@ -1,14 +1,16 @@
 //! Property tests for the parallel-exploration determinism contract: for
 //! *arbitrary* worker counts, execution budgets and checkpoint intervals,
-//! `SearchStrategy::DporParallel` must return a failure set, pruning count,
-//! full statistics block and per-interleaving trace-hash sequence identical
-//! to the sequential explorer — on all four paper workloads.
+//! every systematic strategy on N workers — `Dpor` and `Exhaustive` under
+//! `InferenceBudget::with_workers(n)`, and `SearchStrategy::DporParallel` —
+//! must return a failure set, pruning count, full statistics block and
+//! per-interleaving trace-hash sequence identical to the one-worker walk —
+//! on all four paper workloads.
 //!
 //! This is the property CI's `determinism-matrix` job pins at fixed points
 //! (`DD_SEARCH_WORKERS ∈ {1, 4}` crossed with `--test-threads`); here the
 //! whole configuration cube is sampled. The worker pool may only buy
-//! wall-clock time: the coordinator consumes runs in sequential order and
-//! charges them against its canonical snapshot pool, so even the
+//! wall-clock time: the walk consumes runs in order and charges them
+//! against its canonical snapshot pool, so even the
 //! `steps_executed`/`steps_skipped` split is worker-count-invariant.
 
 mod common;
@@ -18,9 +20,10 @@ use debug_determinism::core::Workload;
 use debug_determinism::replay::{enumerate_failures, search_with, InferenceBudget, SearchStrategy};
 use proptest::prelude::*;
 
-/// Sequential-vs-parallel comparison on one workload under one budget
-/// configuration: failure sets, statistics, and the ordered trace-hash
-/// sequence of every visited interleaving.
+/// One-worker-vs-N-worker comparison on one workload under one budget
+/// configuration, for every way of asking for N workers: failure sets,
+/// statistics, and the ordered trace-hash sequence of every visited
+/// interleaving.
 fn assert_equivalent(
     workload: &dyn Workload,
     workers: u32,
@@ -30,43 +33,52 @@ fn assert_equivalent(
 ) -> Result<(), String> {
     let scenario = workload.scenario();
     let budget = InferenceBudget::executions(budget_n).with_checkpoints(interval);
-    let sequential = SearchStrategy::Dpor { max_depth: depth };
-    let parallel = SearchStrategy::DporParallel {
+    let pooled = budget.with_workers(workers);
+    let dpor = SearchStrategy::Dpor { max_depth: depth };
+    let exhaustive = SearchStrategy::Exhaustive { max_depth: depth };
+    let explicit = SearchStrategy::DporParallel {
         max_depth: depth,
         workers,
     };
-    let label = format!(
-        "{} / {workers} workers / budget {budget_n} / interval {interval} / depth {depth}",
-        workload.name()
-    );
+    // (the one-worker walk, the same walk asked to run on `workers`)
+    let pairs = [
+        (dpor, (budget, explicit)),
+        (dpor, (pooled, dpor)),
+        (exhaustive, (pooled, exhaustive)),
+    ];
 
-    let (seq_failures, seq_stats) = enumerate_failures(&scenario, &budget, sequential);
-    let (par_failures, par_stats) = enumerate_failures(&scenario, &budget, parallel);
-    if par_failures != seq_failures {
-        return Err(format!(
-            "{label}: failure set diverged ({par_failures:?} vs {seq_failures:?})"
-        ));
-    }
-    if par_stats != seq_stats {
-        return Err(format!(
-            "{label}: statistics diverged ({par_stats:?} vs {seq_stats:?})"
-        ));
-    }
-
-    let hashes = |strategy: SearchStrategy| -> Vec<u64> {
+    let hashes = |budget: &InferenceBudget, strategy: SearchStrategy| -> Vec<u64> {
         let collected = std::cell::RefCell::new(Vec::new());
-        search_with(&scenario, &budget, strategy, None, |out| {
+        search_with(&scenario, budget, strategy, None, |out| {
             collected.borrow_mut().push(common::trace_hash(out));
             false
         });
         collected.into_inner()
     };
-    let seq_hashes = hashes(sequential);
-    let par_hashes = hashes(parallel);
-    if par_hashes != seq_hashes {
-        return Err(format!(
-            "{label}: walk order or an interleaving's trace diverged"
-        ));
+    for (sequential, (par_budget, parallel)) in pairs {
+        let label = format!(
+            "{} / {parallel:?} on {} budget workers vs {sequential:?} / budget {budget_n} / \
+             interval {interval}",
+            workload.name(),
+            par_budget.workers
+        );
+        let (seq_failures, seq_stats) = enumerate_failures(&scenario, &budget, sequential);
+        let (par_failures, par_stats) = enumerate_failures(&scenario, &par_budget, parallel);
+        if par_failures != seq_failures {
+            return Err(format!(
+                "{label}: failure set diverged ({par_failures:?} vs {seq_failures:?})"
+            ));
+        }
+        if par_stats != seq_stats {
+            return Err(format!(
+                "{label}: statistics diverged ({par_stats:?} vs {seq_stats:?})"
+            ));
+        }
+        if hashes(&par_budget, parallel) != hashes(&budget, sequential) {
+            return Err(format!(
+                "{label}: walk order or an interleaving's trace diverged"
+            ));
+        }
     }
     Ok(())
 }
@@ -76,8 +88,8 @@ proptest! {
 
     /// The full configuration cube, sampled: any worker count (1..=8), any
     /// small execution budget, any checkpoint interval (0 = scratch), any
-    /// branching depth — parallel DPOR is byte-identical to sequential
-    /// DPOR on every workload.
+    /// branching depth — every systematic strategy on N workers is
+    /// byte-identical to its one-worker walk on every workload.
     #[test]
     fn parallel_dpor_equals_sequential_for_any_configuration(
         workers in 1u32..9,

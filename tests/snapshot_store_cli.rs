@@ -279,20 +279,3 @@ fn snapshots_verb_lists_the_store_and_missing_store_exits_four() {
         stderr(&out)
     );
 }
-
-#[test]
-fn explore_warm_seeds_from_the_store() {
-    let trace = scratch("warm.jsonl");
-    record_spilled("msgserver", &trace);
-    let out = dd(&[
-        "explore",
-        trace.to_str().unwrap(),
-        "--warm",
-        "--executions",
-        "8",
-        "--depth",
-        "4",
-    ]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    assert!(stdout(&out).contains("warm-start"), "{}", stdout(&out));
-}
