@@ -2,7 +2,7 @@
 //! to disk costs and buys.
 //!
 //! A `dd record --spill` run offers every checkpoint its plan fires to an
-//! on-disk [`SnapshotStore`] instead of RAM. The store delta-encodes
+//! on-disk [`SnapshotStore`]. The store delta-encodes
 //! snapshots over their shared history (one append-only file per history
 //! log; a save appends only what was logged since the previous one) and
 //! evicts under a retention policy that maintains a configurable bound

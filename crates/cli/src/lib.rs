@@ -6,9 +6,8 @@
 //!   per-decision state digests and write an append-only JSONL trace.
 //!   With `--model <kind>`, record under a named determinism model
 //!   (perfect, value, …, msg-order, race-complete) instead and write its
-//!   artifact as a JSON document. With `--spill`, checkpoints go to an
-//!   on-disk [`SnapshotStore`] at
-//!   `<trace>.snapshots/` instead of RAM.
+//!   artifact as a JSON document. With `--spill`, world checkpoints go to
+//!   an on-disk [`SnapshotStore`] at `<trace>.snapshots/`.
 //! - `dd replay <trace>`: re-execute the trace under the strict schedule
 //!   policy, comparing state digests at every decision, and stop at the
 //!   first divergence. With `--model`, replay a model artifact written by
@@ -135,9 +134,9 @@ MODELS (--model):
 
 SNAPSHOT SPILLING:
     `dd record --spill` writes world checkpoints to <trace>.snapshots/
-    (an on-disk SnapshotStore) instead of RAM. `dd replay --from N`
-    restores the nearest stored snapshot at or before decision N and
-    fast-forwards the rest; `dd snapshots` lists the store.
+    (an on-disk SnapshotStore). `dd replay --from N` restores the
+    nearest stored snapshot at or before decision N and fast-forwards
+    the rest; `dd snapshots` lists the store.
 
 EXIT CODES:
     0 identical   1 divergence   2 invariant drift   3 usage   4 I/O
@@ -392,10 +391,10 @@ fn cmd_record(rest: &[String]) -> i32 {
     };
     let trace = if spill {
         // Persistent checkpoints: the run offers every snapshot the plan
-        // fires to an on-disk SnapshotStore next to the trace instead of
-        // keeping them in memory. Spilling does not perturb execution —
-        // the decision/digest streams are bit-identical either way; only
-        // the footer's epoch marks additionally carry store snapshot ids.
+        // fires to an on-disk SnapshotStore next to the trace. Spilling
+        // does not perturb execution — the decision/digest streams are
+        // bit-identical either way; only the footer's epoch marks differ,
+        // one per stored snapshot.
         let store_dir = PathBuf::from(format!("{}.snapshots", path.display()));
         if store_dir.exists() {
             if let Err(e) = std::fs::remove_dir_all(&store_dir) {

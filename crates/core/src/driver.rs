@@ -3,8 +3,8 @@
 //!
 //! A session owns everything one debugging engagement needs — the workload,
 //! the recording fidelity ([`RcseConfig`]), the inference budget and search
-//! strategy, the recording checkpoint plan, and the worker pool — and
-//! exposes the four pipeline verbs over them:
+//! strategy, the checkpoint plan of a spilled recording, and the worker
+//! pool — and exposes the four pipeline verbs over them:
 //!
 //! - [`record`](Session::record): run the production incident with
 //!   per-decision state digests and produce a [`JsonlTrace`] artifact;
@@ -62,7 +62,7 @@ pub struct Session {
 
 impl Session {
     /// A session over `workload` with the default budget, recording
-    /// fidelity and checkpoint cadence.
+    /// fidelity and spill cadence ([`RECORDING_CHECKPOINTS`]).
     pub fn new(workload: Arc<dyn Workload>) -> Self {
         Session {
             workload,
@@ -106,7 +106,9 @@ impl Session {
         self
     }
 
-    /// Replaces the checkpoint cadence recording runs use.
+    /// Replaces the checkpoint cadence of [`Session::record_spilled`]: which
+    /// decisions' worlds are offered to the snapshot sink. A plain
+    /// [`Session::record`] captures no snapshots whatever the plan.
     pub fn with_checkpoint_plan(mut self, plan: CheckpointPlan) -> Self {
         self.checkpoints = plan;
         self
@@ -268,18 +270,18 @@ impl Session {
 
     /// Records the production incident into a [`JsonlTrace`] artifact: the
     /// run executes under the original (random) policy with per-decision
-    /// state digests and the session's checkpoint plan; neither perturbs
-    /// the run, so the trace is byte-identical across invocations.
+    /// state digests, which do not perturb the run, so the trace is
+    /// byte-identical across invocations. It captures no snapshots, so the
+    /// footer's `epochs` is empty.
     pub fn record(&self) -> Result<JsonlTrace, JsonlError> {
         self.record_into(None).map(|(trace, _)| trace)
     }
 
-    /// [`Session::record`] with snapshot retention redirected to a
-    /// persistent sink — the `dd record --spill` configuration. The run is
-    /// bit-identical to [`Session::record`] (spilling does not perturb
-    /// execution), so the trace artifact hashes the same; checkpoints the
-    /// session's plan fires are offered to `sink` instead of accumulating
-    /// in memory.
+    /// [`Session::record`] with the session's checkpoint plan offering
+    /// snapshots to a persistent sink — the `dd record --spill`
+    /// configuration. The run is bit-identical to [`Session::record`]
+    /// (spilling does not perturb execution): the trace differs only in
+    /// the footer's `epochs`, one mark per snapshot the sink stored.
     ///
     /// Also returns the sink's write errors (one message per declined
     /// checkpoint): the run itself never fails because a spill did — the
@@ -301,7 +303,7 @@ impl Session {
         let scenario = self.workload.scenario_for(&p);
         let spec = scenario.original_spec();
         let cfg = RunConfig {
-            checkpoints: Some(self.checkpoints),
+            checkpoints: sink.is_some().then_some(self.checkpoints),
             hash_decisions: true,
             snapshot_sink: sink,
             ..scenario.config(&spec)

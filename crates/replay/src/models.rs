@@ -127,17 +127,18 @@ fn replay_result_from_run(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Perfect determinism (SMP-ReVirt-style CREW)
-// ---------------------------------------------------------------------------
-
-/// Checkpoint cadence of recording runs: coarse (every 8th decision, first
-/// 128 decisions) — enough for artifacts to advertise intermediate replay
-/// starting points without cloning the world on every decision.
+/// Default checkpoint cadence of a spilled recording (dd-core's
+/// `Session::record_spilled`): every 8th decision up to decision 128. Only
+/// a run with a snapshot sink uses it; a plain recording captures no
+/// snapshots, since nothing would restore them.
 pub const RECORDING_CHECKPOINTS: dd_sim::CheckpointPlan = dd_sim::CheckpointPlan {
     every: 8,
     max_decision: 128,
 };
+
+// ---------------------------------------------------------------------------
+// Perfect determinism (SMP-ReVirt-style CREW)
+// ---------------------------------------------------------------------------
 
 /// Perfect determinism: records the full interleaving, inputs and
 /// environment, paying a CREW ownership-transfer penalty on every cross-CPU
@@ -156,29 +157,11 @@ impl DeterminismModel for PerfectModel {
             Box::new(ScheduleRecorder::new(costs::SCHEDULE)),
             Box::new(InputRecorder::new(costs::INPUT)),
         ];
-        // The recording run checkpoints at a coarse cadence so the artifact
-        // records where resumable replay starting points exist (the
-        // availability-guarantee idea: replay need not start from the first
-        // instruction). Snapshot collection never perturbs the trace.
-        let spec = scenario.original_spec();
-        let cfg = RunConfig {
-            checkpoints: Some(RECORDING_CHECKPOINTS),
-            ..scenario.config(&spec)
-        };
-        let mut out = dd_sim::run_program(
-            scenario.program.as_ref(),
-            cfg,
-            spec.policy.build(),
-            observers,
-        );
-        let snapshots = std::mem::take(&mut out.snapshots);
-        let schedule = {
-            let rec = out
-                .observer_mut::<ScheduleRecorder>()
-                .expect("schedule recorder attached");
-            rec.absorb_epochs(&snapshots);
-            rec.take_log()
-        };
+        let mut out = scenario.execute(&scenario.original_spec(), observers);
+        let schedule = out
+            .observer_mut::<ScheduleRecorder>()
+            .expect("schedule recorder attached")
+            .take_log();
         let input_rec = out
             .observer::<InputRecorder>()
             .expect("input recorder attached");
@@ -872,27 +855,6 @@ mod tests {
         assert!(replay.artifact_satisfied);
         assert!(replay.reproduced_failure);
         assert_eq!(replay.io, rec.original.io);
-    }
-
-    #[test]
-    fn perfect_artifacts_record_resumable_epochs() {
-        let s = failing_scenario();
-        let rec = PerfectModel.record(&s);
-        let Artifact::Perfect { schedule, .. } = &rec.artifact else {
-            panic!("perfect recording produces a perfect artifact");
-        };
-        assert_eq!(schedule.version, dd_trace::SCHEDULE_LOG_VERSION);
-        // The racy counter makes plenty of multi-candidate decisions, so
-        // the recording run's checkpoint cadence must yield epochs.
-        assert!(
-            !schedule.epochs.is_empty(),
-            "recording runs must advertise resumable replay starting points"
-        );
-        let deepest = schedule
-            .deepest_epoch_at_or_before(u64::MAX)
-            .expect("epochs exist");
-        assert!(deepest.decision > 0);
-        assert!((deepest.decision as usize) <= schedule.decisions.len());
     }
 
     #[test]

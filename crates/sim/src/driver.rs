@@ -243,9 +243,10 @@ pub struct RunOutput {
     /// instead — see [`spilled`](Self::spilled)).
     pub snapshots: Vec<WorldSnapshot>,
     /// Marks of the snapshots the configured
-    /// [`snapshot_sink`](crate::config::RunConfig) kept, in increasing
-    /// decision order (empty unless a sink was configured). Each mark
-    /// carries the sink-assigned id the snapshot is restorable under.
+    /// [`snapshot_sink`](crate::config::RunConfig) kept and still holds at
+    /// the end of the run, in increasing decision order (empty unless a
+    /// sink was configured). Each mark carries the sink-assigned id the
+    /// snapshot is restorable under.
     pub spilled: Vec<SnapshotMark>,
     /// Sink write failures, in occurrence order. A failed offer never
     /// stops the run — it only loses that restore point — so callers that
@@ -526,6 +527,10 @@ fn run_to_completion(
         group_crashes: std::mem::take(&mut kernel.world.crash_counts),
         group_restarts: std::mem::take(&mut kernel.world.restart_counts),
     };
+    let mut spilled = std::mem::take(&mut kernel.spilled);
+    if let Some(sink) = &kernel.sink {
+        spilled.retain(|m| sink.holds(m.id));
+    }
     RunOutput {
         stop: kernel.world.stop.clone().unwrap_or(StopReason::Quiescent),
         stats,
@@ -535,7 +540,7 @@ fn run_to_completion(
         decision_enabled: std::mem::take(&mut kernel.world.decision_enabled),
         trace: kernel.world.trace.take(),
         snapshots: std::mem::take(&mut kernel.snapshots),
-        spilled: std::mem::take(&mut kernel.spilled),
+        spilled,
         spill_errors: std::mem::take(&mut kernel.spill_errors),
         decision_hashes: std::mem::take(&mut kernel.world.decision_hashes),
         final_state_hash,

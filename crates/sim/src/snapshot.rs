@@ -128,6 +128,14 @@ pub trait SnapshotSink: Send {
     /// continues; errors are surfaced in
     /// [`RunOutput::spill_errors`](crate::driver::RunOutput)).
     fn offer(&mut self, snap: &WorldSnapshot) -> Result<Option<u64>, String>;
+
+    /// Whether the sink still holds snapshot `id`, which an earlier
+    /// [`offer`](Self::offer) kept. A sink with a retention policy may
+    /// evict it later; the run reports only the snapshots the sink still
+    /// holds when it ends. Defaults to `true`.
+    fn holds(&self, _id: u64) -> bool {
+        true
+    }
 }
 
 /// The live (non-log) half of a [`WorldState`], in a serializable mirror.

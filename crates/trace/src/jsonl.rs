@@ -10,7 +10,8 @@
 //!    state immediately before the decision (see
 //!    `RunOutput::decision_hashes` in `dd-sim`);
 //! 3. a **footer** with the stop reason, the final state digest, the run's
-//!    observable [`IoSummary`] and the checkpoint [`EpochMark`]s.
+//!    observable [`IoSummary`] and one [`EpochMark`] per snapshot a spilled
+//!    recording stored (none for a plain record).
 //!
 //! The line-per-record shape is what makes the artifact *append-only*: a
 //! recorder can stream decision lines as the run evolves and seal the file
@@ -30,7 +31,7 @@
 //! recording the same scenario twice produces byte-identical files, which
 //! is what lets golden trace hashes gate the record→replay pipeline.
 
-use crate::logs::{EpochMark, ScheduleLog, SCHEDULE_LOG_VERSION};
+use crate::logs::{EpochMark, ScheduleLog};
 use dd_sim::{
     DecisionKind, EnvConfig, InputScript, IoSummary, RecordedDecision, RunOutput, StopReason,
     TaskId,
@@ -160,7 +161,8 @@ pub struct TraceFooter {
     pub final_hash: u64,
     /// The recorded run's observable behaviour.
     pub io: IoSummary,
-    /// Checkpoint markers from the recorded run (see [`EpochMark`]).
+    /// The snapshots a spilled recording stored, in decision order (see
+    /// [`EpochMark`]); empty for a plain record.
     pub epochs: Vec<EpochMark>,
 }
 
@@ -203,20 +205,13 @@ impl JsonlTrace {
                 hash: *hash,
             })
             .collect::<Vec<_>>();
-        let mut epochs: Vec<EpochMark> = out
-            .snapshots
-            .iter()
-            .map(EpochMark::of)
-            .chain(out.spilled.iter().map(EpochMark::of_spilled))
-            .collect();
-        epochs.sort_by_key(|e| e.decision);
         let footer = TraceFooter {
             t: "end".to_owned(),
             decisions: decisions.len() as u64,
             stop: out.stop.clone(),
             final_hash: out.final_state_hash.expect("checked above"),
             io: out.io.clone(),
-            epochs,
+            epochs: out.spilled.iter().map(EpochMark::of_spilled).collect(),
         };
         Ok(JsonlTrace {
             header,
@@ -348,11 +343,10 @@ impl JsonlTrace {
         Self::parse(&text)
     }
 
-    /// The wrapped [`ScheduleLog`] (v2): the decision stream plus epochs,
-    /// ready for `into_replay_policy`.
+    /// The wrapped [`ScheduleLog`]: the decision stream, ready for
+    /// `into_replay_policy`.
     pub fn schedule_log(&self) -> ScheduleLog {
         ScheduleLog {
-            version: SCHEDULE_LOG_VERSION,
             decisions: self
                 .decisions
                 .iter()
@@ -362,7 +356,6 @@ impl JsonlTrace {
                 })
                 .collect::<Vec<_>>()
                 .into(),
-            epochs: self.footer.epochs.clone(),
         }
     }
 
@@ -440,9 +433,7 @@ mod tests {
     fn schedule_log_carries_decisions_and_epochs() {
         let t = sample();
         let log = t.schedule_log();
-        assert_eq!(log.version, SCHEDULE_LOG_VERSION);
         assert_eq!(log.decisions.len(), 5);
-        assert_eq!(log.epochs.len(), 1);
         assert_eq!(t.hashes(), vec![0x1000, 0x1001, 0x1002, 0x1003, 0x1004]);
     }
 

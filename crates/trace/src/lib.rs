@@ -10,14 +10,13 @@
 //!   [`InputLog`], [`FailureSnapshot`], [`EventLog`]): what each determinism
 //!   model persists — relaxation means smaller artifacts.
 //! - Recorder observers ([`ScheduleRecorder`], [`ValueRecorder`],
-//!   [`OutputRecorder`], [`InputRecorder`], [`SelectiveRecorder`],
-//!   [`SiteProfiler`]): the building blocks `dd-replay` and `dd-core`
-//!   assemble into determinism models.
+//!   [`OutputRecorder`], [`InputRecorder`]): the building blocks `dd-replay`
+//!   and `dd-core` assemble into determinism models.
 
 pub mod cost;
 pub mod jsonl;
 pub mod logs;
-pub mod persist;
+mod persist;
 pub mod recorder;
 pub mod store;
 pub mod trace;
@@ -28,12 +27,8 @@ pub use jsonl::{
 };
 pub use logs::{
     EpochMark, EventLog, FailureSnapshot, InputEntry, InputLog, OutputLog, ScheduleLog, ValEntry,
-    ValKind, ValueCursor, ValueCursorStats, ValueLog, SCHEDULE_LOG_VERSION,
+    ValKind, ValueCursor, ValueCursorStats, ValueLog,
 };
-pub use persist::{load_json, save_json, PersistError};
-pub use recorder::{
-    InputRecorder, OutputRecorder, RecordFilter, ScheduleRecorder, SelectiveRecorder, SiteProfiler,
-    ValueRecorder,
-};
+pub use recorder::{InputRecorder, OutputRecorder, ScheduleRecorder, ValueRecorder};
 pub use store::{RetentionPolicy, SnapEntry, SnapshotStore, StoreError, STORE_FORMAT_VERSION};
 pub use trace::{AccessRecord, Trace, TraceEvent};

@@ -11,24 +11,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// Schema version of [`ScheduleLog`] artifacts.
-///
-/// - v1 — decision stream only (implicit; artifacts predating the version
-///   field).
-/// - v2 — adds `version` and `epochs`: checkpoint markers recording where
-///   resumable snapshot points existed during the recorded run.
-/// - v3 — epoch markers may carry a `snapshot` id referencing a snapshot
-///   persisted in an on-disk [`SnapshotStore`](crate::SnapshotStore),
-///   letting replay restore a stored world instead of re-executing the
-///   prefix. Writers emit v3 only when at least one epoch carries an id, so
-///   artifacts without stored snapshots stay byte-identical to v2; readers
-///   accept v1 through v3.
-pub const SCHEDULE_LOG_VERSION: u32 = 3;
-
-/// One epoch marker: a point in the recorded run where a resumable world
-/// snapshot existed. Replay tooling uses these to pick intermediate replay
-/// starting points instead of always re-executing from the first
-/// instruction.
+/// One epoch marker: a snapshot a spilled recording stored in its on-disk
+/// [`SnapshotStore`](crate::SnapshotStore). A trace footer lists one per
+/// snapshot the store holds when the recording ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochMark {
     /// Decision index the snapshot was taken at (state before this
@@ -38,23 +23,13 @@ pub struct EpochMark {
     pub step: u64,
     /// Execution-clock value at the snapshot point.
     pub time: u64,
-    /// Id of the spilled snapshot in the run's on-disk store, when the
-    /// recorder persisted one (v3); `None` for in-memory-only checkpoints
-    /// and for all v1/v2 artifacts.
+    /// Id of the snapshot in the run's on-disk store. Always set by this
+    /// build; `None` only in traces written before recording runs stopped
+    /// keeping in-memory checkpoints.
     pub snapshot: Option<u64>,
 }
 
 impl EpochMark {
-    /// The epoch marker for an in-memory world snapshot.
-    pub fn of(snapshot: &dd_sim::WorldSnapshot) -> Self {
-        EpochMark {
-            decision: snapshot.at_decision(),
-            step: snapshot.steps(),
-            time: snapshot.time(),
-            snapshot: None,
-        }
-    }
-
     /// The epoch marker for a snapshot spilled to an on-disk store.
     pub fn of_spilled(mark: &dd_sim::SnapshotMark) -> Self {
         EpochMark {
@@ -66,9 +41,8 @@ impl EpochMark {
     }
 }
 
-// Hand-written so the `snapshot` field is omitted when absent: v2 artifacts
-// (no stored snapshots) keep rendering byte-identically, which is what lets
-// golden trace hashes survive the v3 migration.
+// Hand-written so the `snapshot` field is omitted when absent: marks
+// without an id keep rendering byte-identically.
 impl Serialize for EpochMark {
     fn to_content(&self) -> serde::Content {
         let mut map = vec![
@@ -86,8 +60,8 @@ impl Serialize for EpochMark {
     }
 }
 
-// Tolerates a missing `snapshot` (v1/v2 artifacts) but still rejects
-// unknown keys, matching the strictness of the derived form it replaces.
+// Tolerates a missing `snapshot` (older traces' id-less marks) but still
+// rejects unknown keys, matching the strictness of the derived form.
 impl Deserialize for EpochMark {
     fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
         let map = content
@@ -116,98 +90,19 @@ impl Deserialize for EpochMark {
     }
 }
 
-/// The recorded schedule: every multi-candidate decision, in order, plus
-/// the checkpoint epochs at which the run can be resumed.
+/// The recorded schedule: every multi-candidate decision, in order.
 ///
 /// The decision stream is a [`ChunkedLog`], so cloning an artifact —
 /// something replay does per candidate run when it re-applies a recorded
 /// schedule — bumps shared chunk handles instead of copying the history.
 /// The serialized form is unchanged (a flat sequence).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleLog {
-    /// Schema version (see [`SCHEDULE_LOG_VERSION`]).
-    pub version: u32,
     /// The decision stream.
     pub decisions: ChunkedLog<RecordedDecision>,
-    /// Checkpoint markers, in increasing decision order (empty when the
-    /// recorded run took no snapshots).
-    pub epochs: Vec<EpochMark>,
-}
-
-impl Default for ScheduleLog {
-    fn default() -> Self {
-        ScheduleLog {
-            version: SCHEDULE_LOG_VERSION,
-            decisions: ChunkedLog::new(),
-            epochs: Vec::new(),
-        }
-    }
-}
-
-// Hand-written so v1 artifacts (decision stream only, predating `version`
-// and `epochs`) keep loading: missing fields default to version 1 with no
-// epochs instead of failing deserialization.
-impl serde::Deserialize for ScheduleLog {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a ScheduleLog map"))?;
-        let field = |name: &str| {
-            map.iter()
-                .find(|(k, _)| k.as_str() == Some(name))
-                .map(|(_, v)| v)
-        };
-        Ok(ScheduleLog {
-            version: match field("version") {
-                Some(v) => u32::from_content(v)?,
-                None => 1,
-            },
-            decisions: match field("decisions") {
-                Some(v) => ChunkedLog::<RecordedDecision>::from_content(v)?,
-                None => ChunkedLog::new(),
-            },
-            epochs: match field("epochs") {
-                Some(v) => Vec::<EpochMark>::from_content(v)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 impl ScheduleLog {
-    /// Builds the log from a finished run's decision records, carrying over
-    /// the run's checkpoint epochs — both in-memory snapshots and marks of
-    /// snapshots spilled to an on-disk store (which carry their store id).
-    ///
-    /// The emitted `version` is the *minimal* one that can express the log:
-    /// 2 unless some epoch references a stored snapshot, so recordings
-    /// without spill stay byte-identical to pre-v3 artifacts.
-    pub fn from_run(out: &dd_sim::RunOutput) -> Self {
-        let mut epochs: Vec<EpochMark> = out
-            .snapshots
-            .iter()
-            .map(EpochMark::of)
-            .chain(out.spilled.iter().map(EpochMark::of_spilled))
-            .collect();
-        epochs.sort_by_key(|e| e.decision);
-        ScheduleLog {
-            version: if epochs.iter().any(|e| e.snapshot.is_some()) {
-                SCHEDULE_LOG_VERSION
-            } else {
-                2
-            },
-            decisions: out
-                .decisions
-                .iter()
-                .map(|d| RecordedDecision {
-                    kind: d.kind,
-                    chosen: d.chosen,
-                })
-                .collect(),
-            epochs,
-        }
-    }
-
     /// Converts into a strict replay policy.
     pub fn into_replay_policy(self) -> dd_sim::ReplayPolicy {
         dd_sim::ReplayPolicy::strict(self.decisions)
@@ -221,82 +116,6 @@ impl ScheduleLog {
     /// Returns `true` if no decisions were recorded.
     pub fn is_empty(&self) -> bool {
         self.decisions.is_empty()
-    }
-
-    /// The deepest epoch at or before `decision`, if any — the resumable
-    /// point a replayer should start from when it needs decisions from
-    /// `decision` onward.
-    pub fn deepest_epoch_at_or_before(&self, decision: u64) -> Option<EpochMark> {
-        self.epochs
-            .iter()
-            .take_while(|e| e.decision <= decision)
-            .last()
-            .copied()
-    }
-
-    /// Merges epoch marks from another observer of the same logical run
-    /// into this log, keeping the union sorted by decision index and free
-    /// of duplicates.
-    ///
-    /// Concurrent recorders — e.g. one per worker of a parallel schedule
-    /// explorer — each see only the snapshot slice their own executions
-    /// took (a resumed run reports epochs past its restore point only).
-    /// Because snapshots at the same decision index of the same schedule
-    /// prefix capture the identical world (the determinism contract),
-    /// merging is a pure set union: order of merging does not matter, and
-    /// a duplicate decision index carries an identical mark, so the first
-    /// occurrence is kept.
-    ///
-    /// Both sides are already ordered by decision (the list invariant, and
-    /// snapshots are reported in increasing decision order), so the union
-    /// is a single forward merge pass — merging M slices into a log of E
-    /// epochs costs O(M + E), not a full re-sort per merge.
-    pub fn merge_epochs(&mut self, marks: impl IntoIterator<Item = EpochMark>) {
-        let mut incoming: Vec<EpochMark> = marks.into_iter().collect();
-        // No early-out on empty input: normalizing `epochs` below is part
-        // of this function's contract, and an empty merge must repair an
-        // unsorted deserialized list just like a non-empty one.
-        // Callers normally hand marks in decision order; tolerate the
-        // exception without losing the linear merge below.
-        if !incoming.windows(2).all(|w| w[0].decision <= w[1].decision) {
-            incoming.sort_by_key(|e| e.decision);
-        }
-        let mut old = std::mem::take(&mut self.epochs);
-        // `epochs` is a pub field a deserialized artifact populates
-        // verbatim, so the list invariant cannot be assumed on this side
-        // either — re-establish it (once) before the linear merge instead
-        // of silently producing an unsorted union.
-        if !old.windows(2).all(|w| w[0].decision <= w[1].decision) {
-            old.sort_by_key(|e| e.decision);
-        }
-        let mut merged: Vec<EpochMark> = Vec::with_capacity(old.len() + incoming.len());
-        let mut a = old.into_iter().peekable();
-        let mut b = incoming.into_iter().peekable();
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => x.decision <= y.decision,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let next = if take_a { a.next() } else { b.next() }.expect("peeked side is non-empty");
-            match merged.last() {
-                Some(prev) if prev.decision == next.decision => {
-                    debug_assert!(
-                        prev.step == next.step && prev.time == next.time,
-                        "epoch marks at decision {} disagree ({}/{} vs {}/{}) — \
-                         recorders observed diverging runs",
-                        next.decision,
-                        prev.step,
-                        prev.time,
-                        next.step,
-                        next.time
-                    );
-                }
-                _ => merged.push(next),
-            }
-        }
-        self.epochs = merged;
     }
 }
 
@@ -728,125 +547,32 @@ mod tests {
                 chosen: TaskId(2),
             }]
             .into(),
-            epochs: vec![
-                EpochMark {
-                    decision: 1,
-                    step: 0,
-                    time: 0,
-                    snapshot: None,
-                },
-                EpochMark {
-                    decision: 4,
-                    step: 12,
-                    time: 31,
-                    snapshot: None,
-                },
-            ],
-            ..ScheduleLog::default()
         };
-        assert_eq!(log.version, SCHEDULE_LOG_VERSION);
         let s = serde_json::to_string(&log).unwrap();
         let back: ScheduleLog = serde_json::from_str(&s).unwrap();
         assert_eq!(log, back);
         assert_eq!(back.len(), 1);
-        assert_eq!(back.epochs.len(), 2);
     }
 
     #[test]
     fn v1_schedule_artifacts_still_load() {
         // A decision-stream-only artifact as persisted before the version
-        // field existed.
+        // field existed: the shape a schedule log has again.
         let v1 = r#"{"decisions":[{"kind":"NextTask","chosen":3}]}"#;
         let log: ScheduleLog = serde_json::from_str(v1).expect("v1 artifact loads");
-        assert_eq!(log.version, 1);
         assert_eq!(log.decisions.len(), 1);
         assert_eq!(log.decisions[0].chosen, TaskId(3));
-        assert!(log.epochs.is_empty());
     }
 
     #[test]
-    fn deepest_epoch_lookup() {
-        let log = ScheduleLog {
-            epochs: vec![
-                EpochMark {
-                    decision: 2,
-                    step: 3,
-                    time: 5,
-                    snapshot: None,
-                },
-                EpochMark {
-                    decision: 6,
-                    step: 11,
-                    time: 20,
-                    snapshot: None,
-                },
-            ],
-            ..ScheduleLog::default()
-        };
-        assert_eq!(log.deepest_epoch_at_or_before(1), None);
-        assert_eq!(log.deepest_epoch_at_or_before(2).unwrap().decision, 2);
-        assert_eq!(log.deepest_epoch_at_or_before(5).unwrap().decision, 2);
-        assert_eq!(log.deepest_epoch_at_or_before(9).unwrap().decision, 6);
-    }
-
-    #[test]
-    fn merge_epochs_unions_sorted_and_deduplicated() {
-        let mark = |decision: u64, step: u64| EpochMark {
-            decision,
-            step,
-            time: step * 2,
-            snapshot: None,
-        };
-        // Three concurrent recorders, each observing a different slice of
-        // the same run's snapshot stream (resumed runs only report epochs
-        // past their restore point), merged in arbitrary order.
-        let slices = [
-            vec![mark(2, 3), mark(6, 11)],
-            vec![mark(4, 7), mark(6, 11)],
-            vec![mark(2, 3), mark(8, 15)],
-        ];
-        let mut forward = ScheduleLog::default();
-        for s in &slices {
-            forward.merge_epochs(s.iter().copied());
+    fn schedule_logs_with_version_or_epochs_are_rejected() {
+        for stale in [
+            r#"{"version":3,"decisions":[]}"#,
+            r#"{"decisions":[],"epochs":[{"decision":8,"step":2,"time":60}]}"#,
+        ] {
+            let err = serde_json::from_str::<ScheduleLog>(stale).unwrap_err();
+            assert!(err.to_string().contains("unknown field"), "{stale}: {err}");
         }
-        let mut backward = ScheduleLog::default();
-        for s in slices.iter().rev() {
-            backward.merge_epochs(s.iter().copied());
-        }
-        let want = vec![mark(2, 3), mark(4, 7), mark(6, 11), mark(8, 15)];
-        assert_eq!(forward.epochs, want, "union, sorted, deduplicated");
-        assert_eq!(backward.epochs, want, "merge order must not matter");
-        // The merged log answers resume-point queries across all slices.
-        assert_eq!(forward.deepest_epoch_at_or_before(5).unwrap().decision, 4);
-        assert_eq!(forward.deepest_epoch_at_or_before(9).unwrap().decision, 8);
-    }
-
-    #[test]
-    fn merge_epochs_repairs_an_unsorted_deserialized_artifact() {
-        let mark = |decision: u64| EpochMark {
-            decision,
-            step: decision * 10,
-            time: decision * 20,
-            snapshot: None,
-        };
-        // `epochs` is a pub field: an externally-produced artifact can
-        // arrive unsorted and with duplicates. A merge must re-establish
-        // the list invariant rather than assume it.
-        let mut log = ScheduleLog {
-            epochs: vec![mark(6), mark(2), mark(6)],
-            ..ScheduleLog::default()
-        };
-        log.merge_epochs([mark(4)]);
-        assert_eq!(log.epochs, vec![mark(2), mark(4), mark(6)]);
-        assert_eq!(log.deepest_epoch_at_or_before(5).unwrap().decision, 4);
-        // The repair is part of the merge contract even for an empty
-        // slice (a recorder that took no snapshots still absorbs).
-        let mut untouched = ScheduleLog {
-            epochs: vec![mark(6), mark(2)],
-            ..ScheduleLog::default()
-        };
-        untouched.merge_epochs([]);
-        assert_eq!(untouched.epochs, vec![mark(2), mark(6)]);
     }
 
     #[test]

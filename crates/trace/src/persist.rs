@@ -1,60 +1,34 @@
-//! Artifact persistence: saving and loading recordings as JSON.
-//!
-//! Production recorders stream their logs to stable storage; replay happens
-//! later, usually on a different machine. This module provides the
-//! round-trip: any serialisable artifact (trace, schedule log, value log,
-//! plane map, …) can be written to and reloaded from a file.
+//! The snapshot store's JSON files: write a value to a file and read it
+//! back, with errors that name the file.
 
+use crate::store::StoreError;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
-/// Errors from artifact persistence.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Filesystem error.
-    Io(std::io::Error),
-    /// Serialisation or deserialisation error.
-    Codec(serde_json::Error),
+/// Writes `value` to `path` as JSON.
+pub(crate) fn save_json<T: Serialize>(value: &T, path: &Path) -> Result<(), StoreError> {
+    let text = serde_json::to_string(value).map_err(|e| StoreError::Corrupt {
+        file: path.to_owned(),
+        detail: e.to_string(),
+    })?;
+    std::fs::write(path, text).map_err(|source| StoreError::Io {
+        file: path.to_owned(),
+        source,
+    })
 }
 
-impl core::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "artifact I/O error: {e}"),
-            PersistError::Codec(e) => write!(f, "artifact codec error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for PersistError {
-    fn from(e: serde_json::Error) -> Self {
-        PersistError::Codec(e)
-    }
-}
-
-/// Writes a serialisable artifact to `path` as JSON.
-pub fn save_json<T: Serialize>(artifact: &T, path: &Path) -> Result<(), PersistError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    serde_json::to_writer(&mut w, artifact)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads an artifact back from `path`.
-pub fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T, PersistError> {
-    let file = std::fs::File::open(path)?;
-    Ok(serde_json::from_reader(BufReader::new(file))?)
+/// Reads a value back from `path`: a file that cannot be opened is an I/O
+/// error, one that does not decode as `T` is corrupt.
+pub(crate) fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T, StoreError> {
+    let file = std::fs::File::open(path).map_err(|source| StoreError::Io {
+        file: path.to_owned(),
+        source,
+    })?;
+    serde_json::from_reader(file).map_err(|e| StoreError::Corrupt {
+        file: path.to_owned(),
+        detail: e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -98,13 +72,6 @@ mod tests {
                 chosen: TaskId(4),
             }]
             .into(),
-            epochs: vec![crate::EpochMark {
-                decision: 2,
-                step: 17,
-                time: 40,
-                snapshot: None,
-            }],
-            ..ScheduleLog::default()
         };
         let path = tmp("sched");
         save_json(&log, &path).unwrap();
@@ -133,10 +100,10 @@ mod tests {
 
     #[test]
     fn missing_file_reports_io_error() {
-        let err =
-            load_json::<Trace>(Path::new("/nonexistent/definitely/missing.json")).unwrap_err();
-        assert!(matches!(err, PersistError::Io(_)));
-        assert!(err.to_string().contains("I/O"));
+        let path = Path::new("/nonexistent/definitely/missing.json");
+        let err = load_json::<Trace>(path).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }));
+        assert!(err.to_string().contains("missing.json"), "{err}");
     }
 
     #[test]
@@ -145,6 +112,10 @@ mod tests {
         std::fs::write(&path, b"{not json").unwrap();
         let err = load_json::<Trace>(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert!(matches!(err, PersistError::Codec(_)));
+        assert!(matches!(err, StoreError::Corrupt { .. }));
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
     }
 }

@@ -40,7 +40,7 @@
 //! One store holds snapshots of **one** recorded run, offered in decision
 //! order.
 
-use crate::persist::{load_json, save_json, PersistError};
+use crate::persist::{load_json, save_json};
 use dd_sim::{
     decode_snapshot, encode_log_range, encode_manifest, LogManifest, SchedulePolicy,
     SnapshotManifest, SnapshotSink, WorldSnapshot, SNAPSHOT_FORMAT_VERSION,
@@ -208,19 +208,6 @@ impl core::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-fn persist_err(file: &Path, e: PersistError) -> StoreError {
-    match e {
-        PersistError::Io(source) => StoreError::Io {
-            file: file.to_owned(),
-            source,
-        },
-        PersistError::Codec(e) => StoreError::Corrupt {
-            file: file.to_owned(),
-            detail: e.to_string(),
-        },
-    }
-}
-
 fn corrupt(file: &Path, detail: String) -> StoreError {
     StoreError::Corrupt {
         file: file.to_owned(),
@@ -232,7 +219,7 @@ fn corrupt(file: &Path, detail: String) -> StoreError {
 /// before decoding its fields: another version's fields need not parse as
 /// this one's, and its digests cannot be checked by this build.
 fn load_versioned<T: Deserialize>(path: &Path, what: &str, current: u32) -> Result<T, StoreError> {
-    let content: Content = load_json(path).map_err(|e| persist_err(path, e))?;
+    let content: Content = load_json(path)?;
     let version = content
         .as_map()
         .and_then(|m| serde::field(m, "version", what).ok())
@@ -266,8 +253,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// [`dd_sim::RunConfig::snapshot_sink`](dd_sim::RunConfig): the kernel
 /// offers every planned checkpoint, the store persists it and applies its
 /// retention policy, and the run's `RunOutput::spilled` marks (and from
-/// them the v3 [`ScheduleLog`](crate::ScheduleLog) epochs) carry the store
-/// ids back to replay tooling.
+/// them the trace footer's [`EpochMark`](crate::EpochMark)s) carry the
+/// store ids back to replay tooling.
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -400,7 +387,7 @@ impl SnapshotStore {
 
     fn persist_index(&self) -> Result<(), StoreError> {
         let ipath = self.dir.join("store.json");
-        save_json(&self.index, &ipath).map_err(|e| persist_err(&ipath, e))
+        save_json(&self.index, &ipath)
     }
 
     /// Persists one snapshot: appends each log's elements logged since the
@@ -593,6 +580,11 @@ impl SnapshotSink for SnapshotStore {
             return Ok(None);
         }
         self.save(snap).map(Some).map_err(|e| e.to_string())
+    }
+
+    /// Retention may have evicted a snapshot an earlier offer kept.
+    fn holds(&self, id: u64) -> bool {
+        self.index.snaps.iter().any(|s| s.id == id)
     }
 }
 

@@ -1,11 +1,11 @@
-//! Round-trip property tests for `dd-trace::persist` and the artifact log
-//! formats: serialize → deserialize of arbitrary generated traces and logs
-//! is the identity, and the on-disk JSON is byte-stable across repeated
-//! serialisations (replay artifacts are content-addressed by hash in
-//! downstream tooling, so nondeterministic encodings would corrupt them).
+//! Round-trip property tests for the artifact log formats: serialize →
+//! deserialize of arbitrary generated traces and logs is the identity, and
+//! the JSON is byte-stable across repeated serialisations (replay artifacts
+//! are content-addressed by hash in downstream tooling, so nondeterministic
+//! encodings would corrupt them).
 
 use dd_sim::{DecisionKind, Event, EventMeta, RecordedDecision, TaskId, Value, VarId};
-use dd_trace::{load_json, save_json, InputEntry, InputLog, ScheduleLog, Trace, ValueLog};
+use dd_trace::{InputEntry, InputLog, ScheduleLog, Trace, ValueLog};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -77,19 +77,10 @@ fn trace_from(rng: &mut TestRng, len: u64) -> Trace {
     )
 }
 
-fn tmp(name: &str, case: u64) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "dd-trace-prop-{}-{name}-{case}.json",
-        std::process::id()
-    ));
-    p
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary traces survive the disk round trip unchanged, and two
+    /// Arbitrary traces survive the JSON round trip unchanged, and two
     /// serialisations of the same trace are byte-identical.
     #[test]
     fn trace_roundtrip_is_identity_and_stable(len in 0u64..24, case in 0u64..10_000) {
@@ -101,16 +92,10 @@ proptest! {
         prop_assert_eq!(&a, &b);
         let back: Trace = serde_json::from_str(&a).expect("deserializes");
         prop_assert_eq!(&trace, &back);
-
-        let path = tmp("trace", case);
-        save_json(&trace, &path).expect("saves");
-        let from_disk: Trace = load_json(&path).expect("loads");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&trace, &from_disk);
     }
 
-    /// Arbitrary schedule logs round-trip exactly; replaying an artifact
-    /// from disk must follow the same decisions as the in-memory log.
+    /// Arbitrary schedule logs round-trip exactly; replaying a reparsed
+    /// artifact must follow the same decisions as the in-memory log.
     #[test]
     fn schedule_log_roundtrip_is_identity_and_stable(len in 0usize..40, case in 0u64..10_000) {
         let mut rng = TestRng::for_case("sched_gen", case);
@@ -125,32 +110,12 @@ proptest! {
                     chosen: TaskId(rng.below(6) as u32),
                 })
                 .collect(),
-            epochs: (0..len / 4)
-                .map(|i| dd_trace::EpochMark {
-                    decision: i as u64 * 2 + 1,
-                    step: i as u64 * 11 + rng.below(7),
-                    time: i as u64 * 23 + rng.below(9),
-                    snapshot: if rng.below(3) == 0 {
-                        Some(i as u64)
-                    } else {
-                        None
-                    },
-                })
-                .collect(),
-            ..ScheduleLog::default()
         };
-        prop_assert_eq!(log.version, dd_trace::SCHEDULE_LOG_VERSION);
 
         let a = serde_json::to_string(&log).expect("serializes");
         prop_assert_eq!(a.clone(), serde_json::to_string(&log).expect("serializes"));
         let back: ScheduleLog = serde_json::from_str(&a).expect("deserializes");
         prop_assert_eq!(&log, &back);
-
-        let path = tmp("sched", case);
-        save_json(&log, &path).expect("saves");
-        let from_disk: ScheduleLog = load_json(&path).expect("loads");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&log, &from_disk);
     }
 
     /// Arbitrary input logs round-trip exactly, and the rebuilt input
@@ -172,12 +137,6 @@ proptest! {
         prop_assert_eq!(a.clone(), serde_json::to_string(&log).expect("serializes"));
         let back: InputLog = serde_json::from_str(&a).expect("deserializes");
         prop_assert_eq!(&log, &back);
-
-        let path = tmp("input", case);
-        save_json(&log, &path).expect("saves");
-        let from_disk: InputLog = load_json(&path).expect("loads");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&log, &from_disk);
         prop_assert_eq!(log.to_script().len(), log.entries.len());
     }
 
@@ -191,11 +150,5 @@ proptest! {
         prop_assert_eq!(a.clone(), serde_json::to_string(&log).expect("serializes"));
         let back: ValueLog = serde_json::from_str(&a).expect("deserializes");
         prop_assert_eq!(&log, &back);
-
-        let path = tmp("value", case);
-        save_json(&log, &path).expect("saves");
-        let from_disk: ValueLog = load_json(&path).expect("loads");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&log, &from_disk);
     }
 }

@@ -328,6 +328,50 @@ fn model_artifact_record_and_replay_round_trip_through_the_binary() {
 }
 
 #[test]
+fn perfect_artifact_with_a_stale_schedule_exits_four_naming_the_file() {
+    let artifact = scratch("msgserver.perfect.json");
+    let out = dd(&[
+        "record",
+        "msgserver",
+        "--model=perfect",
+        "--out",
+        artifact.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "record --model failed: {}", stderr(&out));
+    let out = dd(&["replay", artifact.to_str().unwrap(), "--model"]);
+    assert_eq!(code(&out), 0, "fresh artifact replays: {}", stdout(&out));
+
+    // Schedule logs once carried a schema `version` and the marks of the
+    // recording run's in-memory checkpoints. Neither is part of the format
+    // any more, so such an artifact is refused by name, not half-read.
+    let text = std::fs::read_to_string(&artifact).unwrap();
+    let schedule = "\"schedule\": {";
+    assert!(text.contains(schedule), "{text:.400}");
+    for (name, stale) in [
+        ("version", "\"version\": 3,"),
+        (
+            "epochs",
+            "\"epochs\": [{\"decision\": 8, \"step\": 2, \"time\": 60}],",
+        ),
+    ] {
+        let path = scratch(&format!("msgserver.perfect.{name}.json"));
+        std::fs::write(
+            &path,
+            text.replacen(schedule, &format!("{schedule}{stale}"), 1),
+        )
+        .unwrap();
+        let out = dd(&["replay", path.to_str().unwrap(), "--model"]);
+        assert_eq!(code(&out), 4, "{name}: stdout: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(path.to_str().unwrap())
+                && err.contains(&format!("unknown field `{name}`")),
+            "{name}: stderr: {err}"
+        );
+    }
+}
+
+#[test]
 fn unknown_model_kind_exits_three() {
     let out = dd(&["record", "sum", "--model=frobnicate"]);
     assert_eq!(code(&out), 3);

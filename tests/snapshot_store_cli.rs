@@ -2,6 +2,8 @@
 //!
 //! - `dd record --spill` writes a `<trace>.snapshots/` store whose trace
 //!   artifact is byte-stable across invocations;
+//! - a spilled record differs from a plain one only in the footer's
+//!   marks, which name exactly the snapshots the store holds;
 //! - `dd replay --from N` restores the nearest stored snapshot in a *fresh
 //!   process* (every `dd` invocation here is its own process, cold from
 //!   on-disk artifacts) and reproduces the recorded digest stream for all
@@ -12,6 +14,7 @@
 //!   offending file, never panic;
 //! - `dd snapshots` lists the store.
 
+use debug_determinism::trace::{JsonlTrace, SnapshotStore};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -56,10 +59,45 @@ fn record_spilled(workload: &str, path: &Path) {
 
 /// The recorded decision count, parsed from the trace artifact.
 fn decisions_of(path: &Path) -> u64 {
-    debug_determinism::trace::JsonlTrace::load(path)
+    JsonlTrace::load(path)
         .expect("spilled trace parses")
         .footer
         .decisions
+}
+
+#[test]
+fn plain_and_spilled_records_differ_only_in_the_footer_marks() {
+    let plain = scratch("contract-plain.jsonl");
+    let out = dd(&["record", "msgserver", "--out", plain.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "record failed: {}", stderr(&out));
+    let spilled = scratch("contract-spilled.jsonl");
+    record_spilled("msgserver", &spilled);
+
+    // A plain record captures no snapshots, so it marks none.
+    let plain = JsonlTrace::load(&plain).expect("plain trace parses");
+    assert!(plain.footer.epochs.is_empty(), "{:?}", plain.footer.epochs);
+
+    // Spilling does not perturb the run: only the footer's marks differ.
+    let mut trace = JsonlTrace::load(&spilled).expect("spilled trace parses");
+    let marks = std::mem::take(&mut trace.footer.epochs);
+    assert!(trace == plain, "spilled trace differs beyond its marks");
+
+    // The marks are exactly the snapshots the store holds: none for a
+    // snapshot retention evicted.
+    let store =
+        SnapshotStore::open(format!("{}.snapshots", spilled.display())).expect("store opens");
+    let stored: Vec<(u64, u64)> = store.list().iter().map(|e| (e.decision, e.id)).collect();
+    let marked: Vec<(u64, u64)> = marks
+        .iter()
+        .map(|m| {
+            (
+                m.decision,
+                m.snapshot.expect("a spilled mark carries its id"),
+            )
+        })
+        .collect();
+    assert!(!stored.is_empty());
+    assert_eq!(marked, stored);
 }
 
 #[test]
