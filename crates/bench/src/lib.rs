@@ -14,8 +14,9 @@
 //!   inference-budget sweep, invariant-training sweep.
 //!
 //! Binaries `repro-fig1`, `repro-fig2` and `repro-ablations` print the
-//! series; Criterion benches measure the real (host wall-clock) cost of the
-//! same recorders.
+//! series. The host wall-clock cost of recording and replay is measured by
+//! `perfbench/` (`model.<kind>.record_ms`, `model.<kind>.replay_ms`,
+//! `trace.overhead_pct`).
 
 pub mod ablations;
 pub mod emit;

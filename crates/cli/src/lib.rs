@@ -43,6 +43,26 @@ use dd_workloads::{BufOverflowWorkload, MsgServerConfig, MsgServerWorkload, SumW
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// `println!` for every line `dd` writes to stdout. A reader that closed
+/// the pipe early (`dd snapshots t.jsonl | head -2`) has taken all the
+/// output it wants, so the process ends there with exit 0 instead of
+/// panicking on the failed write.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(exit::OK);
+        }
+        panic!("dd: failed writing to stdout: {e}");
+    }
+}
+
 /// Exit codes of the `dd` binary (stable contract).
 pub mod exit {
     /// Replay identical / verb succeeded.
@@ -143,7 +163,8 @@ EXIT CODES:
 ";
 
 /// Entry point: parses `args` (without the program name) and runs one verb.
-/// Returns the process exit code; diagnostics go to stderr.
+/// Returns the process exit code; diagnostics go to stderr. If stdout's
+/// reader goes away mid-output, the process exits 0 right there.
 pub fn run(args: &[String]) -> i32 {
     let Some(verb) = args.first() else {
         eprint!("{USAGE}");
@@ -157,7 +178,7 @@ pub fn run(args: &[String]) -> i32 {
         "snapshots" => cmd_snapshots(rest),
         "promote" => cmd_promote(rest),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            write_stdout(format_args!("{USAGE}"));
             exit::OK
         }
         other => {
@@ -367,7 +388,7 @@ fn cmd_record(rest: &[String]) -> i32 {
         let (s, found) = session.discover_failing_schedule(limit);
         session = s;
         match found {
-            Some(seed) => println!("discovered failing schedule seed {seed}"),
+            Some(seed) => outln!("discovered failing schedule seed {seed}"),
             None => {
                 eprintln!("dd record: no failing schedule in 0..{limit}");
                 return exit::USAGE;
@@ -442,26 +463,27 @@ fn cmd_record(rest: &[String]) -> i32 {
         return exit::IO;
     }
     let failure = (session.scenario_for_trace(&trace.header).failure_of)(&trace.footer.io);
-    println!("workload   : {}", trace.header.workload);
-    println!(
+    outln!("workload   : {}", trace.header.workload);
+    outln!(
         "run        : seed {} sched-seed {}",
-        trace.header.seed, trace.header.sched_seed
+        trace.header.seed,
+        trace.header.sched_seed
     );
-    println!("decisions  : {}", trace.footer.decisions);
-    println!("stop       : {}", trace.footer.stop);
-    println!(
+    outln!("decisions  : {}", trace.footer.decisions);
+    outln!("stop       : {}", trace.footer.stop);
+    outln!(
         "failure    : {}",
         failure
             .as_ref()
             .map(|f| f.failure_id.as_str())
             .unwrap_or("none (run passed)")
     );
-    println!("trace      : {}", path.display());
+    outln!("trace      : {}", path.display());
     if spill {
         let store_dir = PathBuf::from(format!("{}.snapshots", path.display()));
         match SnapshotStore::open(&store_dir) {
             Ok(store) => {
-                println!(
+                outln!(
                     "snapshots  : {} stored in {} ({} bytes, worst restore distance {})",
                     store.list().len(),
                     store_dir.display(),
@@ -475,7 +497,7 @@ fn cmd_record(rest: &[String]) -> i32 {
             }
         }
     }
-    println!("trace-hash : {:016x}", fnv64(text.as_bytes()));
+    outln!("trace-hash : {:016x}", fnv64(text.as_bytes()));
     exit::OK
 }
 
@@ -529,14 +551,15 @@ fn record_model_artifact(
         eprintln!("dd record: {}: {e}", path.display());
         return exit::IO;
     }
-    println!("workload   : {}", session.workload().name());
-    println!("model      : {kind}");
-    println!(
+    outln!("workload   : {}", session.workload().name());
+    outln!("model      : {kind}");
+    outln!(
         "log        : {} records, {} bytes",
-        rec.log.records, rec.log.bytes
+        rec.log.records,
+        rec.log.bytes
     );
-    println!("overhead   : {:.2}x", rec.overhead_factor);
-    println!(
+    outln!("overhead   : {:.2}x", rec.overhead_factor);
+    outln!(
         "failure    : {}",
         rec.original
             .failure
@@ -544,8 +567,8 @@ fn record_model_artifact(
             .map(|f| f.failure_id.as_str())
             .unwrap_or("none (run passed)")
     );
-    println!("artifact   : {}", path.display());
-    println!("artifact-hash : {:016x}", fnv64(text.as_bytes()));
+    outln!("artifact   : {}", path.display());
+    outln!("artifact-hash : {:016x}", fnv64(text.as_bytes()));
     exit::OK
 }
 
@@ -579,11 +602,11 @@ fn replay_model_artifact(path: &str) -> i32 {
         max_steps: doc.header.max_steps,
     });
     let (recording, result) = session.replay_artifact(doc.model, doc.artifact);
-    println!("model      : {}", doc.model);
-    println!("satisfied  : {}", result.artifact_satisfied);
-    println!("io identical : {}", result.io == recording.original.io);
+    outln!("model      : {}", doc.model);
+    outln!("satisfied  : {}", result.artifact_satisfied);
+    outln!("io identical : {}", result.io == recording.original.io);
     let show = |f: Option<&str>| f.unwrap_or("pass").to_owned();
-    println!(
+    outln!(
         "recorded verdict : {}",
         show(
             recording
@@ -593,7 +616,7 @@ fn replay_model_artifact(path: &str) -> i32 {
                 .map(|f| f.failure_id.as_str())
         )
     );
-    println!(
+    outln!(
         "failure reproduced : {}",
         if result.reproduced_failure {
             "yes"
@@ -602,13 +625,13 @@ fn replay_model_artifact(path: &str) -> i32 {
         }
     );
     if !result.artifact_satisfied {
-        println!("replay did not satisfy the recorded artifact");
+        outln!("replay did not satisfy the recorded artifact");
         return exit::DIVERGENCE;
     }
     if !result.reproduced_failure {
         return exit::INVARIANT;
     }
-    println!("replay satisfied the artifact and reproduced the recorded verdict");
+    outln!("replay satisfied the artifact and reproduced the recorded verdict");
     exit::OK
 }
 
@@ -673,22 +696,24 @@ fn cmd_replay(rest: &[String]) -> i32 {
     }
 
     let report = session.replay(&trace);
-    println!(
+    outln!(
         "replayed {} of {} recorded decisions ({} digest comparison points matched)",
-        report.replayed_decisions, trace.footer.decisions, report.matched
+        report.replayed_decisions,
+        trace.footer.decisions,
+        report.matched
     );
 
     if invariant_only {
         // Behavioural comparison only: did the specification verdict move?
         let check = session.behavior_check(&trace, &report.out.io);
         let show = |f: &Option<String>| f.clone().unwrap_or_else(|| "pass".into());
-        println!("recorded verdict : {}", show(&check.recorded_failure));
-        println!("replayed verdict : {}", show(&check.replayed_failure));
+        outln!("recorded verdict : {}", show(&check.recorded_failure));
+        outln!("replayed verdict : {}", show(&check.replayed_failure));
         return if check.drifted {
-            println!("behavioural drift: the replay is not debugging the recorded incident");
+            outln!("behavioural drift: the replay is not debugging the recorded incident");
             exit::INVARIANT
         } else {
-            println!("behaviour identical (state digests not enforced)");
+            outln!("behaviour identical (state digests not enforced)");
             exit::OK
         };
     }
@@ -705,26 +730,26 @@ fn divergence_verdict(
 ) -> i32 {
     match &report.divergence {
         None => {
-            println!("replay identical: every state digest matched, final digest matched");
+            outln!("replay identical: every state digest matched, final digest matched");
             exit::OK
         }
         Some(div) => {
-            println!("FIRST DIVERGENCE at decision {}", div.decision);
-            println!("  {}", div.detail);
+            outln!("FIRST DIVERGENCE at decision {}", div.decision);
+            outln!("  {}", div.detail);
             if let (Some(r), Some(p)) = (div.recorded_hash, div.replayed_hash) {
-                println!("  recorded digest {r:016x} / replayed digest {p:016x}");
+                outln!("  recorded digest {r:016x} / replayed digest {p:016x}");
             }
             // The failing decision sequence: a window of recorded decisions
             // leading into the divergence point.
             let end = (div.decision as usize + 1).min(trace.decisions.len());
             let start = end.saturating_sub(5);
-            println!(
+            outln!(
                 "  failing decision sequence (last {} of {}):",
                 end - start,
                 end
             );
             for d in &trace.decisions[start..end] {
-                println!(
+                outln!(
                     "    #{:<6} {:?} chose {} ({} of {} candidates)",
                     d.i,
                     d.kind,
@@ -735,7 +760,7 @@ fn divergence_verdict(
             }
             if let Some(snap) = snapshot {
                 match write_snapshot_diff(&snap, trace, report) {
-                    Ok(()) => println!("  state diff written to {}", snap.display()),
+                    Ok(()) => outln!("  state diff written to {}", snap.display()),
                     Err(e) => {
                         eprintln!("dd replay: {}: {e}", snap.display());
                         return exit::IO;
@@ -784,7 +809,7 @@ fn replay_from_store(
                         return exit::IO;
                     }
                 };
-                println!(
+                outln!(
                     "restored snapshot {} at decision {} ({} recorded decisions skipped, \
                      {} replayed live)",
                     entry.id,
@@ -795,20 +820,22 @@ fn replay_from_store(
                 session.replay_from(trace, &snap)
             }
             None => {
-                println!("no stored snapshot at or before decision {from}; replaying from scratch");
+                outln!("no stored snapshot at or before decision {from}; replaying from scratch");
                 session.replay(trace)
             }
         }
     } else {
-        println!(
+        outln!(
             "no snapshot store at {}; replaying from scratch",
             store_dir.display()
         );
         session.replay(trace)
     };
-    println!(
+    outln!(
         "replayed {} of {} recorded decisions ({} digest comparison points matched)",
-        report.replayed_decisions, trace.footer.decisions, report.matched
+        report.replayed_decisions,
+        trace.footer.decisions,
+        report.matched
     );
     divergence_verdict(trace, &report, snapshot_diff)
 }
@@ -926,17 +953,22 @@ fn cmd_snapshots(rest: &[String]) -> i32 {
         }
     };
     let policy = store.policy();
-    println!("store      : {}", store_dir.display());
-    println!(
+    outln!("store      : {}", store_dir.display());
+    outln!(
         "policy     : restore-distance bound {}, capacity {} snapshots",
-        policy.bound, policy.max_snapshots
+        policy.bound,
+        policy.max_snapshots
     );
-    println!(
+    outln!(
         "{:>4}  {:>9}  {:>9}  {:>12}  {:>7}",
-        "id", "decision", "step", "delta-bytes", "parent"
+        "id",
+        "decision",
+        "step",
+        "delta-bytes",
+        "parent"
     );
     for e in store.list() {
-        println!(
+        outln!(
             "{:>4}  {:>9}  {:>9}  {:>12}  {:>7}",
             e.id,
             e.decision,
@@ -945,7 +977,7 @@ fn cmd_snapshots(rest: &[String]) -> i32 {
             e.parent.map_or_else(|| "-".into(), |p| p.to_string()),
         );
     }
-    println!(
+    outln!(
         "total      : {} snapshots, {} bytes on disk",
         store.list().len(),
         store.disk_bytes()
@@ -996,7 +1028,7 @@ fn cmd_explore(rest: &[String]) -> i32 {
         .with_strategy(SearchStrategy::Dpor { max_depth: depth })
         .with_workers(workers)
         .explore(&trace);
-    println!(
+    outln!(
         "target     : {}",
         exploration
             .target
@@ -1004,19 +1036,21 @@ fn cmd_explore(rest: &[String]) -> i32 {
             .unwrap_or("any failure (recorded run passed)")
     );
     let stats = &exploration.result.stats;
-    println!(
+    outln!(
         "search     : {} executed, {} pruned, {} ticks",
-        stats.explored, stats.pruned, stats.ticks
+        stats.explored,
+        stats.pruned,
+        stats.ticks
     );
     match (&exploration.result.spec, stats.found_at) {
         (Some(spec), at) => {
-            println!(
+            outln!(
                 "found      : candidate {} reproduces the failure",
                 at.map(|i| i.to_string()).unwrap_or_else(|| "?".into())
             );
-            println!("  spec     : seed {} policy {:?}", spec.seed, spec.policy);
+            outln!("  spec     : seed {} policy {:?}", spec.seed, spec.policy);
         }
-        (None, _) => println!("found      : nothing within budget"),
+        (None, _) => outln!("found      : nothing within budget"),
     }
     exit::OK
 }
@@ -1094,9 +1128,9 @@ fn cmd_promote(rest: &[String]) -> i32 {
         eprintln!("dd promote: {}: {e}", test_path.display());
         return exit::IO;
     }
-    println!("fixture    : {}", fixture_path.display());
-    println!("test       : {}", test_path.display());
-    println!("run it with: cargo test --test {name}");
+    outln!("fixture    : {}", fixture_path.display());
+    outln!("test       : {}", test_path.display());
+    outln!("run it with: cargo test --test {name}");
     exit::OK
 }
 

@@ -2,9 +2,14 @@
 //!
 //! The analysis machinery the paper's selection heuristics rely on:
 //!
-//! - [`VectorClock`] / [`HbRaceDetector`]: precise happens-before data-race
-//!   detection (online or offline), used both for root-cause predicates and
-//!   as a high-fidelity trigger.
+//! - [`HappensBefore`]: the one happens-before engine — per-task, per-lock
+//!   and per-channel [`VectorClock`]s under the spawn, join, lock hand-off,
+//!   channel and notify edges, ticking the acting task on every
+//!   task-attributed event. The race detector, `dd-replay`'s DPOR analysis
+//!   and the property tests all drive it.
+//! - [`HbRaceDetector`]: precise happens-before data-race detection (online
+//!   or offline), used both for root-cause predicates and as a
+//!   high-fidelity trigger.
 //! - [`LocksetDetector`]: Eraser-style approximate detection — the cheap
 //!   always-on "potential-bug detector" §3.1.3 proposes for dialing
 //!   recording fidelity up.
@@ -14,6 +19,7 @@
 //! - [`TriggerDetector`]: the common trigger interface consumed by the RCSE
 //!   fidelity controller in `dd-core`.
 
+pub mod hb;
 pub mod invariants;
 pub mod lockset;
 pub mod lostupdate;
@@ -21,6 +27,7 @@ pub mod race;
 pub mod trigger;
 pub mod vclock;
 
+pub use hb::HappensBefore;
 pub use invariants::{Invariant, InvariantMonitor, InvariantSet, Violation};
 pub use lockset::{LocksetDetector, LocksetWarning, VarMode};
 pub use lostupdate::{lost_updates, LostUpdate};

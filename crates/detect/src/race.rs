@@ -1,21 +1,22 @@
 //! Happens-before data-race detection.
 //!
-//! A vector-clock detector in the Djit+ family: it maintains a clock per
-//! task, per lock, per channel message and per condition-variable
-//! notification, and checks every shared access against the variable's last
-//! writer and the readers since. Two accesses to the same variable race when
-//! at least one is a write and their clocks are incomparable.
+//! A vector-clock detector in the Djit+ family: it drives the shared
+//! [`HappensBefore`] engine over the event stream and checks every shared
+//! access against the variable's last writer and the readers since. Two
+//! accesses to the same variable race when at least one is a write and
+//! their clocks are incomparable.
 //!
 //! The detector runs either online (as an [`Observer`]) or offline over a
 //! recorded [`Trace`]. Online it is also usable as an RCSE *trigger*: the
 //! moment a race is detected, recording fidelity can be dialed up
 //! (§3.1.3 of the paper).
 
+use crate::hb::HappensBefore;
 use crate::vclock::VectorClock;
-use dd_sim::{observer_boilerplate, AccessKind, ChanId, Event, EventMeta, Observer, TaskId, VarId};
+use dd_sim::{observer_boilerplate, AccessKind, Event, EventMeta, Observer, TaskId, VarId};
 use dd_trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One endpoint of a racing pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,11 +54,7 @@ struct VarState {
 /// The happens-before race detector.
 #[derive(Debug, Default)]
 pub struct HbRaceDetector {
-    task_clocks: HashMap<u32, VectorClock>,
-    lock_clocks: HashMap<u32, VectorClock>,
-    /// Per-channel queue of sender-side clock snapshots (one per queued
-    /// message), so each receive acquires exactly its message's clock.
-    chan_clocks: HashMap<u32, VecDeque<VectorClock>>,
+    hb: HappensBefore,
     vars: HashMap<u32, VarState>,
     races: Vec<RaceReport>,
     /// Dedup key: (var, first site, second site).
@@ -105,165 +102,68 @@ impl HbRaceDetector {
         d.into_races()
     }
 
-    fn clock_mut(&mut self, task: TaskId) -> &mut VectorClock {
-        self.task_clocks.entry(task.0).or_default()
-    }
-
-    fn chan_queue(&mut self, chan: ChanId) -> &mut VecDeque<VectorClock> {
-        self.chan_clocks.entry(chan.0).or_default()
-    }
-
     /// Processes one event; returns `true` if a *new* race was recorded.
     pub fn handle(&mut self, meta: &EventMeta, event: &Event) -> bool {
         let before = self.races.len();
-        match event {
-            Event::TaskSpawn { parent, child, .. } => {
-                // Child inherits the parent's history.
-                if let Some(p) = parent {
-                    let pvc = self.clock_mut(*p).clone();
-                    let cvc = self.clock_mut(*child);
-                    cvc.join(&pvc);
-                }
-                let child = *child;
-                let v = self.clock_mut(child).tick(child);
-                let _ = v;
+        let task = self.hb.apply(event);
+        match (task, event) {
+            (Some(task), Event::Read { var, site, .. }) => {
+                self.check(meta, task, *var, site, AccessKind::Read)
             }
-            Event::LockAcquire { task, lock, .. } => {
-                if let Some(lvc) = self.lock_clocks.get(&lock.0).cloned() {
-                    self.clock_mut(*task).join(&lvc);
-                }
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::LockRelease { task, lock, .. } => {
-                self.clock_mut(*task).tick(*task);
-                let tvc = self.clock_mut(*task).clone();
-                self.lock_clocks.insert(lock.0, tvc);
-            }
-            Event::CondWait { task, .. } => {
-                // The wait releases the lock; the LockAcquire on wake-up (a
-                // separate event) re-establishes edges.
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::CondNotify { task, woken, .. } => {
-                self.clock_mut(*task).tick(*task);
-                let nvc = self.clock_mut(*task).clone();
-                for w in woken {
-                    self.clock_mut(*w).join(&nvc);
-                }
-            }
-            Event::Send { task, chan, .. } => {
-                self.clock_mut(*task).tick(*task);
-                let tvc = self.clock_mut(*task).clone();
-                self.chan_queue(*chan).push_back(tvc);
-            }
-            Event::Recv { task, chan, .. } => {
-                if let Some(mvc) = self.chan_queue(*chan).pop_front() {
-                    self.clock_mut(*task).join(&mvc);
-                }
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::Joined { task, target, .. } => {
-                let tvc = self.clock_mut(*target).clone();
-                self.clock_mut(*task).join(&tvc);
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::TaskExit { task, .. } => {
-                self.clock_mut(*task).tick(*task);
-            }
-            Event::Read {
-                task, var, site, ..
-            } => {
-                self.clock_mut(*task).tick(*task);
-                self.check_read(meta, *task, *var, site);
-            }
-            Event::Write {
-                task, var, site, ..
-            } => {
-                self.clock_mut(*task).tick(*task);
-                self.check_write(meta, *task, *var, site);
+            (Some(task), Event::Write { var, site, .. }) => {
+                self.check(meta, task, *var, site, AccessKind::Write)
             }
             _ => {}
         }
         self.races.len() > before
     }
 
-    fn check_read(&mut self, meta: &EventMeta, task: TaskId, var: VarId, site: &str) {
-        let tvc = self.task_clocks.get(&task.0).cloned().unwrap_or_default();
+    /// Checks one access against the variable's last write and, for a
+    /// write, every read since; then records the access.
+    fn check(&mut self, meta: &EventMeta, task: TaskId, var: VarId, site: &str, kind: AccessKind) {
+        let tvc = self.hb.clock(task).clone();
         let state = self.vars.entry(var.0).or_default();
+        let mut firsts = Vec::new();
         if let Some((wt, wsite, wvc)) = &state.last_write {
             if *wt != task && !wvc.leq(&tvc) {
-                let report = RaceReport {
-                    var,
-                    first: RaceEndpoint {
-                        task: *wt,
-                        kind: AccessKind::Write,
-                        site: wsite.clone(),
-                    },
-                    second: RaceEndpoint {
-                        task,
-                        kind: AccessKind::Read,
-                        site: site.to_owned(),
-                    },
-                    step: meta.step,
-                    time: meta.time,
-                };
-                let key = (var.0, report.first.site.clone(), report.second.site.clone());
-                if self.seen.insert(key) {
-                    self.races.push(report);
-                }
-            }
-        }
-        state.reads_since.insert(task.0, (site.to_owned(), tvc));
-    }
-
-    fn check_write(&mut self, meta: &EventMeta, task: TaskId, var: VarId, site: &str) {
-        let tvc = self.task_clocks.get(&task.0).cloned().unwrap_or_default();
-        let state = self.vars.entry(var.0).or_default();
-        let mut reports = Vec::new();
-        if let Some((wt, wsite, wvc)) = &state.last_write {
-            if *wt != task && !wvc.leq(&tvc) {
-                reports.push(RaceReport {
-                    var,
-                    first: RaceEndpoint {
-                        task: *wt,
-                        kind: AccessKind::Write,
-                        site: wsite.clone(),
-                    },
-                    second: RaceEndpoint {
-                        task,
-                        kind: AccessKind::Write,
-                        site: site.to_owned(),
-                    },
-                    step: meta.step,
-                    time: meta.time,
+                firsts.push(RaceEndpoint {
+                    task: *wt,
+                    kind: AccessKind::Write,
+                    site: wsite.clone(),
                 });
             }
         }
-        for (rt, (rsite, rvc)) in &state.reads_since {
-            if *rt != task.0 && !rvc.leq(&tvc) {
-                reports.push(RaceReport {
-                    var,
-                    first: RaceEndpoint {
+        if kind == AccessKind::Write {
+            for (rt, (rsite, rvc)) in &state.reads_since {
+                if *rt != task.0 && !rvc.leq(&tvc) {
+                    firsts.push(RaceEndpoint {
                         task: TaskId(*rt),
                         kind: AccessKind::Read,
                         site: rsite.clone(),
-                    },
+                    });
+                }
+            }
+            state.last_write = Some((task, site.to_owned(), tvc));
+            state.reads_since.clear();
+        } else {
+            state.reads_since.insert(task.0, (site.to_owned(), tvc));
+        }
+        for first in firsts {
+            if self
+                .seen
+                .insert((var.0, first.site.clone(), site.to_owned()))
+            {
+                self.races.push(RaceReport {
+                    var,
+                    first,
                     second: RaceEndpoint {
                         task,
-                        kind: AccessKind::Write,
+                        kind,
                         site: site.to_owned(),
                     },
                     step: meta.step,
                     time: meta.time,
                 });
-            }
-        }
-        state.last_write = Some((task, site.to_owned(), tvc));
-        state.reads_since.clear();
-        for report in reports {
-            let key = (var.0, report.first.site.clone(), report.second.site.clone());
-            if self.seen.insert(key) {
-                self.races.push(report);
             }
         }
     }

@@ -3,8 +3,8 @@
 //! plus agreement between vector-clock happens-before and `dd-sim`'s actual
 //! event order on seeded traces.
 
-use dd_detect::VectorClock;
-use dd_sim::{run_program, Builder, ChanClass, Event, Program, RandomPolicy, RunConfig, TaskId};
+use dd_detect::{HappensBefore, VectorClock};
+use dd_sim::{run_program, Builder, ChanClass, Program, RandomPolicy, RunConfig, TaskId};
 use proptest::prelude::*;
 
 /// Builds a clock from up to `vals.len()` components; a zero value leaves
@@ -128,8 +128,8 @@ proptest! {
 }
 
 /// A mixed-synchronisation program: racing workers, a lock-protected
-/// counter, channel hand-offs and a join — enough edge variety to exercise
-/// every clock rule.
+/// counter, channel hand-offs, a spawn, a condition-variable notification
+/// and a join — enough edge variety to exercise every clock rule.
 struct MixedSync {
     workers: u32,
     iters: i64,
@@ -144,6 +144,8 @@ impl Program for MixedSync {
         let shared = b.var("shared", 0i64);
         let guarded = b.var("guarded", 0i64);
         let m = b.mutex("m");
+        let cv = b.condvar("cv");
+        let ready = b.var("ready", 0i64);
         let done = b.channel::<i64>("done", ChanClass::Local);
         let n = self.workers;
         let iters = self.iters;
@@ -164,81 +166,41 @@ impl Program for MixedSync {
             let child = ctx
                 .spawn("helper", "main", move |mut c| async move {
                     let _ = c.read(&shared, "h::read").await?;
-                    Ok(())
+                    c.lock(m, "h::lock").await?;
+                    c.write(&ready, 1, "h::ready").await?;
+                    c.notify_all(cv, "h::notify").await?;
+                    c.unlock(m, "h::unlock").await
                 })
                 .await?;
             for _ in 0..n {
                 ctx.recv(&done, "c::recv").await?;
             }
+            ctx.lock(m, "c::lock").await?;
+            while ctx.read(&ready, "c::ready").await? == 0 {
+                ctx.wait(cv, m, "c::wait").await?;
+            }
+            ctx.unlock(m, "c::unlock").await?;
             ctx.join(child, "c::join").await?;
             Ok(())
         });
     }
 }
 
-/// Replays the trace through the same happens-before edges the race
-/// detector uses, returning each task-attributed event's clock (after its
-/// tick) in trace order.
+/// Drives the trace through [`HappensBefore`] — the engine the race
+/// detector and DPOR use — returning each task-attributed event's clock
+/// (after its tick) in trace order.
 fn event_clocks(program: &MixedSync, seed: u64) -> Vec<(TaskId, VectorClock)> {
-    use std::collections::{HashMap, VecDeque};
     let out = run_program(
         program,
         RunConfig::with_seed(seed),
         Box::new(RandomPolicy::new(seed)),
         vec![],
     );
-    let mut tasks: HashMap<u32, VectorClock> = HashMap::new();
-    let mut locks: HashMap<u32, VectorClock> = HashMap::new();
-    let mut chans: HashMap<u32, VecDeque<VectorClock>> = HashMap::new();
-    let mut clocks = Vec::new();
-    for (_, event) in out.trace() {
-        match event {
-            Event::TaskSpawn { parent, child, .. } => {
-                if let Some(p) = parent {
-                    let pvc = tasks.entry(p.0).or_default().clone();
-                    tasks.entry(child.0).or_default().join(&pvc);
-                }
-                tasks.entry(child.0).or_default().tick(*child);
-                clocks.push((*child, tasks[&child.0].clone()));
-                continue;
-            }
-            Event::LockAcquire { task, lock, .. } => {
-                if let Some(lvc) = locks.get(&lock.0).cloned() {
-                    tasks.entry(task.0).or_default().join(&lvc);
-                }
-            }
-            Event::LockRelease { task, lock, .. } => {
-                let c = tasks.entry(task.0).or_default();
-                c.tick(*task);
-                locks.insert(lock.0, c.clone());
-                clocks.push((*task, c.clone()));
-                continue;
-            }
-            Event::Send { task, chan, .. } => {
-                let c = tasks.entry(task.0).or_default();
-                c.tick(*task);
-                chans.entry(chan.0).or_default().push_back(c.clone());
-                clocks.push((*task, c.clone()));
-                continue;
-            }
-            Event::Recv { task, chan, .. } => {
-                if let Some(mvc) = chans.entry(chan.0).or_default().pop_front() {
-                    tasks.entry(task.0).or_default().join(&mvc);
-                }
-            }
-            Event::Joined { task, target, .. } => {
-                let tvc = tasks.entry(target.0).or_default().clone();
-                tasks.entry(task.0).or_default().join(&tvc);
-            }
-            _ => {}
-        }
-        if let Some(task) = event.task() {
-            let c = tasks.entry(task.0).or_default();
-            c.tick(task);
-            clocks.push((task, c.clone()));
-        }
-    }
-    clocks
+    let mut hb = HappensBefore::new();
+    out.trace()
+        .iter()
+        .filter_map(|(_, event)| hb.apply(event).map(|t| (t, hb.clock(t).clone())))
+        .collect()
 }
 
 proptest! {

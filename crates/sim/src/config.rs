@@ -330,8 +330,6 @@ pub struct RunConfig {
     pub costs: OpCosts,
     /// Replay hook for task-local nondeterminism.
     pub nondet_override: Option<Box<dyn NondetOverride>>,
-    /// If `true`, the run stops at the first task crash.
-    pub stop_on_crash: bool,
     /// Maximum number of live-or-exited tasks a run may create. A runtime
     /// spawn that would exceed it fails with
     /// [`SimError::TaskLimit`](crate::error::SimError) instead of growing
@@ -369,7 +367,6 @@ impl Default for RunConfig {
             env: EnvConfig::clean(),
             costs: OpCosts::default(),
             nondet_override: None,
-            stop_on_crash: false,
             max_tasks: 1 << 20,
             checkpoints: None,
             snapshot_sink: None,
@@ -398,7 +395,6 @@ impl core::fmt::Debug for RunConfig {
             .field("inputs", &self.inputs.len())
             .field("env", &self.env)
             .field("has_override", &self.nondet_override.is_some())
-            .field("stop_on_crash", &self.stop_on_crash)
             .field("max_tasks", &self.max_tasks)
             .field("checkpoints", &self.checkpoints)
             .field("has_snapshot_sink", &self.snapshot_sink.is_some())

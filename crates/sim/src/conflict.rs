@@ -7,8 +7,11 @@
 //! order reaches the same state — exactly when their descriptors do not
 //! [`conflict`](OpDesc::conflicts). Systematic explorers (`dd-replay`'s
 //! DPOR-lite strategy) use this to prune interleavings that only reorder
-//! commuting operations.
+//! commuting operations. [`Event::footprint`] maps an executed operation
+//! back to the same descriptor, so the pending-operation view and the
+//! trace view of an operation agree.
 
+use crate::event::Event;
 use crate::ids::{ChanId, CondvarId, LockId, PortId, VarId};
 use serde::{Deserialize, Serialize};
 
@@ -88,6 +91,46 @@ impl OpDesc {
             (Rng, Rng) => true,
             _ => false,
         }
+    }
+}
+
+impl Event {
+    /// The footprint of the operation whose completion this event records,
+    /// or `None` for events that complete no task operation (decisions,
+    /// exits, kills, failed allocations, fault-plane events).
+    pub fn footprint(&self) -> Option<OpDesc> {
+        Some(match self {
+            Event::Read { var, .. } => OpDesc::Var {
+                var: *var,
+                write: false,
+            },
+            Event::Write { var, .. } => OpDesc::Var {
+                var: *var,
+                write: true,
+            },
+            Event::Send { chan, .. }
+            | Event::Recv { chan, .. }
+            | Event::SendDropped { chan, .. } => OpDesc::Chan { chan: *chan },
+            Event::InputRead { port, .. } => OpDesc::PortIn { port: *port },
+            Event::Output { port, .. } => OpDesc::PortOut { port: *port },
+            Event::LockAcquire { lock, .. } | Event::LockRelease { lock, .. } => {
+                OpDesc::Lock { lock: *lock }
+            }
+            Event::CondWait { cvar, lock, .. } => OpDesc::CvWait {
+                cvar: *cvar,
+                lock: *lock,
+            },
+            Event::CondNotify { cvar, .. } => OpDesc::CvNotify { cvar: *cvar },
+            Event::RngDraw { .. } => OpDesc::Rng,
+            Event::TaskSpawn { .. } | Event::Crash { .. } => OpDesc::Global,
+            Event::Probe { .. }
+            | Event::Counter { .. }
+            | Event::Alloc { .. }
+            | Event::Sleep { .. }
+            | Event::Joined { .. }
+            | Event::Yield { .. } => OpDesc::Local,
+            _ => return None,
+        })
     }
 }
 

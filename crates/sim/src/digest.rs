@@ -828,7 +828,6 @@ mod tests {
             Vec::new(),
             None,
             false,
-            false,
         );
         let t0 = k.add_task("a", "g0", None);
         let t1 = k.add_task("b", "g1", None);

@@ -354,7 +354,6 @@ pub fn run_program(
         observers,
         cfg.nondet_override.take(),
         cfg.collect_trace,
-        cfg.stop_on_crash,
     );
     kernel.checkpoints = cfg.checkpoints;
     kernel.sink = cfg.snapshot_sink.take();
@@ -413,7 +412,6 @@ pub fn resume_program(
         policy.unwrap_or(snap.policy),
         observers,
         cfg.nondet_override.take(),
-        cfg.stop_on_crash,
         cfg.checkpoints,
     );
     kernel.sink = cfg.snapshot_sink.take();

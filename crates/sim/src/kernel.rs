@@ -745,7 +745,6 @@ pub(crate) struct Kernel {
     observers: Vec<ObserverSlot>,
     pub policy: Box<dyn SchedulePolicy>,
     pub nondet_override: Option<Box<dyn NondetOverride>>,
-    pub stop_on_crash: bool,
     /// Runtime-spawn ceiling (from `RunConfig::max_tasks`): a spawn that
     /// would push `world.tasks` past this fails with
     /// [`SimError::TaskLimit`] instead of growing the world.
@@ -928,7 +927,6 @@ impl Op {
 }
 
 impl Kernel {
-    #[allow(clippy::too_many_arguments)] // Internal constructor fed by RunConfig.
     pub fn new(
         seed: u64,
         costs: OpCosts,
@@ -937,7 +935,6 @@ impl Kernel {
         observers: Vec<Box<dyn Observer>>,
         nondet_override: Option<Box<dyn NondetOverride>>,
         collect_trace: bool,
-        stop_on_crash: bool,
     ) -> Self {
         let mut pending_crashes: Vec<(u64, String)> = env
             .crashes
@@ -1013,7 +1010,6 @@ impl Kernel {
                 .collect(),
             policy,
             nondet_override,
-            stop_on_crash,
             max_tasks: u64::MAX,
             checkpoints: None,
             snapshots: Vec::new(),
@@ -1031,7 +1027,6 @@ impl Kernel {
     /// rebuilds each started task's coroutine by fast-forwarding its body
     /// through the world's retained syscall log (see
     /// `driver::resume_program`).
-    #[allow(clippy::too_many_arguments)] // Internal constructor fed by RunConfig.
     pub fn resume(
         world: WorldState,
         costs: OpCosts,
@@ -1039,7 +1034,6 @@ impl Kernel {
         policy: Box<dyn SchedulePolicy>,
         observers: Vec<Box<dyn Observer>>,
         nondet_override: Option<Box<dyn NondetOverride>>,
-        stop_on_crash: bool,
         checkpoints: Option<CheckpointPlan>,
     ) -> Self {
         let resumed_at = world.decision_seq;
@@ -1053,7 +1047,6 @@ impl Kernel {
                 .collect(),
             policy,
             nondet_override,
-            stop_on_crash,
             max_tasks: u64::MAX,
             checkpoints,
             snapshots: Vec::new(),
@@ -1991,9 +1984,6 @@ impl Kernel {
                     reason: reason.clone(),
                     site: (*site).into(),
                 });
-                if self.stop_on_crash && self.world.stop.is_none() {
-                    self.world.stop = Some(StopReason::Stopped);
-                }
                 Attempt::Done(Ok(Value::Unit))
             }
             Op::StopRun { site } => {
@@ -2020,9 +2010,6 @@ impl Kernel {
             reason,
             site: site.to_owned().into(),
         });
-        if self.stop_on_crash && self.world.stop.is_none() {
-            self.world.stop = Some(StopReason::Stopped);
-        }
     }
 
     /// Charges a successful op: advances the execution clock and the step
@@ -2070,7 +2057,6 @@ mod tests {
             Vec::new(),
             None,
             true,
-            false,
         )
     }
 
@@ -2215,7 +2201,6 @@ mod tests {
             Vec::new(),
             None,
             true,
-            false,
         );
         let t = k.add_task("t", "g", None);
         let c = k.add_chan("net", ChanClass::Network);
@@ -2252,7 +2237,6 @@ mod tests {
             Vec::new(),
             None,
             true,
-            false,
         );
         let t = k.add_task("t", "g", None);
         let c = k.add_chan("loc", ChanClass::Local);
@@ -2277,7 +2261,6 @@ mod tests {
             Vec::new(),
             None,
             true,
-            false,
         );
         let t = k.add_task("t", "g", None);
         let mut a = Op::Alloc {
@@ -2431,7 +2414,6 @@ mod tests {
             Vec::new(),
             None,
             true,
-            false,
         );
         let client = k.add_task("loader", "client0", None);
         let server = k.add_task("handler", "server0", None);
@@ -2496,7 +2478,6 @@ mod tests {
             Vec::new(),
             None,
             true,
-            false,
         );
         k.add_task("a", "node1", None);
         assert_eq!(k.next_pending_time(), Some(3));
@@ -2566,7 +2547,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_op_records_and_optionally_stops() {
+    fn crash_op_records_without_stopping() {
         let (mut k, t) = kernel_with_task();
         let mut c = Op::Crash {
             reason: "boom".into(),
@@ -2575,13 +2556,6 @@ mod tests {
         assert!(matches!(k.exec_op(t, &mut c), Attempt::Done(Ok(_))));
         assert_eq!(k.world.crashes.len(), 1);
         assert!(k.world.stop.is_none());
-        k.stop_on_crash = true;
-        let mut c2 = Op::Crash {
-            reason: "boom2".into(),
-            site: "s",
-        };
-        let _ = k.exec_op(t, &mut c2);
-        assert!(k.world.stop.is_some());
     }
 
     #[test]
@@ -2645,7 +2619,6 @@ mod tests {
             Vec::new(),
             Some(Box::new(FixedRng)),
             false,
-            false,
         );
         let t = k.add_task("t", "g", None);
         let mut r = Op::Rng {
@@ -2673,7 +2646,6 @@ mod tests {
             Box::new(RandomPolicy::new(1)),
             Vec::new(),
             Some(Box::new(FixedRead)),
-            false,
             false,
         );
         let t = k.add_task("t", "g", None);
@@ -2743,7 +2715,6 @@ mod tests {
             Box::new(RandomPolicy::new(1)),
             vec![Box::new(Pricey)],
             None,
-            false,
             false,
         );
         let t = k.add_task("t", "g", None);

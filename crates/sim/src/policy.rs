@@ -162,40 +162,12 @@ impl SchedulePolicy for RoundRobinPolicy {
 pub struct ReplayPolicy {
     decisions: ChunkedLog<RecordedDecision>,
     cursor: usize,
-    /// What to do when the stream is exhausted or diverges.
-    on_exhausted: ExhaustedBehavior,
-    fallback: DetRng,
-}
-
-/// Behaviour of [`ReplayPolicy`] past the end of its recorded stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExhaustedBehavior {
-    /// Abort the run with [`StopReason::ReplayDivergence`].
-    Strict,
-    /// Continue with seeded random choices.
-    RandomContinue,
 }
 
 impl ReplayPolicy {
     /// Creates a strict replay policy (divergence aborts the run).
     pub fn strict(decisions: impl Into<ChunkedLog<RecordedDecision>>) -> Self {
-        ReplayPolicy {
-            decisions: decisions.into(),
-            cursor: 0,
-            on_exhausted: ExhaustedBehavior::Strict,
-            fallback: DetRng::seed_from(0),
-        }
-    }
-
-    /// Creates a replay policy that falls back to random choices (seeded by
-    /// `seed`) once the recorded stream is exhausted.
-    pub fn with_random_tail(decisions: impl Into<ChunkedLog<RecordedDecision>>, seed: u64) -> Self {
-        ReplayPolicy {
-            decisions: decisions.into(),
-            cursor: 0,
-            on_exhausted: ExhaustedBehavior::RandomContinue,
-            fallback: DetRng::seed_from(seed),
-        }
+        Self::resuming_at(decisions, 0)
     }
 
     /// Creates a strict replay policy whose cursor starts at `consumed` —
@@ -210,8 +182,6 @@ impl ReplayPolicy {
         ReplayPolicy {
             decisions: decisions.into(),
             cursor: consumed,
-            on_exhausted: ExhaustedBehavior::Strict,
-            fallback: DetRng::seed_from(0),
         }
     }
 
@@ -232,15 +202,10 @@ impl SchedulePolicy for ReplayPolicy {
 
     fn decide(&mut self, point: &DecisionPoint<'_>) -> Result<usize, StopReason> {
         if self.cursor >= self.decisions.len() {
-            return match self.on_exhausted {
-                ExhaustedBehavior::Strict => Err(StopReason::ReplayDivergence {
-                    step: point.seq,
-                    detail: "recorded decision stream exhausted".into(),
-                }),
-                ExhaustedBehavior::RandomContinue => {
-                    Ok(self.fallback.pick_index(point.candidates.len()))
-                }
-            };
+            return Err(StopReason::ReplayDivergence {
+                step: point.seq,
+                detail: "recorded decision stream exhausted".into(),
+            });
         }
         let rec = self.decisions[self.cursor];
         self.cursor += 1;
@@ -484,8 +449,6 @@ mod tests {
     fn replay_divergence_on_exhaustion_when_strict() {
         let mut p = ReplayPolicy::strict(vec![]);
         assert!(decide_with(&mut p, 0, &[0]).is_err());
-        let mut q = ReplayPolicy::with_random_tail(vec![], 1);
-        assert!(decide_with(&mut q, 0, &[0]).is_ok());
     }
 
     #[test]

@@ -308,6 +308,31 @@ fn old_snapshot_store_format_exits_four_asking_for_a_re_record() {
     );
 }
 
+/// A reader that stops early (`dd snapshots t.jsonl | head -2`) is a clean
+/// end of output, not a crash: no panic text, exit 0.
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    let trace = scratch("closed-stdout.jsonl");
+    let out = dd(&[
+        "record",
+        "msgserver",
+        "--out",
+        trace.to_str().unwrap(),
+        "--spill",
+    ]);
+    assert_eq!(code(&out), 0, "record --spill failed: {}", stderr(&out));
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_dd"))
+        .args(["snapshots", trace.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("spawn dd");
+    let err = stderr(&out);
+    assert_eq!(code(&out), 0, "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
 #[test]
 fn model_artifact_record_and_replay_round_trip_through_the_binary() {
     let artifact = scratch("msgserver.msg-order.json");
